@@ -27,7 +27,6 @@ import (
 	"repro/internal/trace"
 	"repro/internal/vmmodel"
 	"repro/internal/websearch"
-	"repro/pkg/dcsim/model"
 )
 
 var printOnce sync.Map
@@ -504,101 +503,4 @@ func BenchmarkDatacenterHour(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// streamIngestConfig sizes the synthetic generator for the data-path
-// benchmarks: a 2-hour day keeps the materialized baseline runnable at
-// 10k VMs (the full 24-hour day would be ~1.4 GB there and ~14 GB at
-// 100k, which is exactly what the streaming path exists to avoid).
-func streamIngestConfig(n int) synth.DatacenterConfig {
-	cfg := synth.DefaultDatacenterConfig()
-	cfg.VMs = n
-	cfg.Day = 2 * time.Hour
-	return cfg
-}
-
-// liveHeapMB returns the post-GC live heap in MiB — the resident-state
-// measure the streaming data path bounds (allocation throughput is what
-// -benchmem reports; this is what stays).
-func liveHeapMB() float64 {
-	runtime.GC()
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return float64(ms.HeapAlloc) / (1 << 20)
-}
-
-// BenchmarkStreamIngest contrasts the two workload data paths feeding the
-// placement engine and records each series' live heap (live_MB) next to
-// its wall time:
-//
-//   - materialized: generate the whole Dataset, then fold it — resident
-//     state is every fine series, linear in dataset size.
-//   - streamed: fold the generator's VM stream record by record — resident
-//     state is the fold (names, scalars, one envelope bitset per VM) plus
-//     a single record in flight.
-//   - streamed/vms=100000: the headline row — a 100k-VM population
-//     ingested and placed with blocked evaluation over O(1) synthetic
-//     pair costs (the sub-quadratic mode 10k+-VM scenarios run), at a
-//     live heap far below the 10k materialized baseline.
-func BenchmarkStreamIngest(b *testing.B) {
-	measure := func(b *testing.B, base float64, live *float64, hold ...any) {
-		b.StopTimer()
-		if m := liveHeapMB() - base; m > *live {
-			*live = m
-		}
-		for _, h := range hold {
-			runtime.KeepAlive(h)
-		}
-		b.StartTimer()
-	}
-	b.Run("materialized/vms=10000", func(b *testing.B) {
-		cfg := streamIngestConfig(10000)
-		base := liveHeapMB()
-		var live float64
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			ds := synth.Datacenter(cfg)
-			ing, err := sim.IngestReader(model.DatasetReaderOf(ds), sim.IngestConfig{Envelopes: true})
-			if err != nil {
-				b.Fatal(err)
-			}
-			measure(b, base, &live, ds, ing)
-		}
-		b.ReportMetric(live, "live_MB")
-	})
-	b.Run("streamed/vms=10000", func(b *testing.B) {
-		cfg := streamIngestConfig(10000)
-		base := liveHeapMB()
-		var live float64
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			ing, err := sim.IngestReader(synth.NewStream(cfg), sim.IngestConfig{Envelopes: true})
-			if err != nil {
-				b.Fatal(err)
-			}
-			measure(b, base, &live, ing)
-		}
-		b.ReportMetric(live, "live_MB")
-	})
-	b.Run("streamed/vms=100000", func(b *testing.B) {
-		cfg := streamIngestConfig(100000)
-		spec := server.XeonE5410()
-		acfg := core.DefaultConfig()
-		acfg.Block = 512
-		base := liveHeapMB()
-		var live float64
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			ing, err := sim.IngestReader(synth.NewStream(cfg), sim.IngestConfig{Envelopes: true})
-			if err != nil {
-				b.Fatal(err)
-			}
-			a := &core.Allocator{Config: acfg, CostFn: core.SyntheticPairCost}
-			if _, err := a.Place(ing.Requests(), spec, cfg.VMs); err != nil {
-				b.Fatal(err)
-			}
-			measure(b, base, &live, ing)
-		}
-		b.ReportMetric(live, "live_MB")
-	})
 }

@@ -7,6 +7,9 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"time"
+
+	"repro/pkg/dcsim/model"
 )
 
 func approx(a, b, eps float64) bool { return math.Abs(a-b) <= eps }
@@ -305,12 +308,18 @@ func quantileSortRef(xs []float64, q float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
+// selectCrossover is the window size at which model.Quantile switches
+// from sorting to quickselect; the oracle tests straddle it.
+const selectCrossover = 1024
+
 // TestQuantileSelectMatchesSort cross-checks the large-window quickselect
 // path against the sort-based oracle, bit for bit, over random, sorted,
-// reversed, and heavily tied windows straddling the crossover size.
+// reversed, and heavily tied windows straddling the crossover size — both
+// through Quantile and through model.Series.Percentile, which share the
+// one exact-quantile routine.
 func TestQuantileSelectMatchesSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	sizes := []int{quantileSelectMin - 1, quantileSelectMin, quantileSelectMin + 1, 5000}
+	sizes := []int{selectCrossover - 1, selectCrossover, selectCrossover + 1, 5000}
 	qs := []float64{0, 0.001, 0.1, 0.25, 0.5, 0.9, 0.99, 0.999, 1}
 	for _, n := range sizes {
 		shapes := map[string][]float64{}
@@ -334,11 +343,15 @@ func TestQuantileSelectMatchesSort(t *testing.T) {
 		shapes["tied"] = tied
 		for shape, xs := range shapes {
 			orig := append([]float64(nil), xs...)
+			series := model.NewSeries(time.Second, n)
+			series.Append(xs...)
 			for _, q := range qs {
-				got := Quantile(xs, q)
 				want := quantileSortRef(xs, q)
-				if got != want {
+				if got := Quantile(xs, q); got != want {
 					t.Fatalf("n=%d %s q=%v: Quantile=%v, sort oracle=%v", n, shape, q, got, want)
+				}
+				if got := series.Percentile(q); got != want {
+					t.Fatalf("n=%d %s q=%v: Series.Percentile=%v, sort oracle=%v", n, shape, q, got, want)
 				}
 			}
 			for i := range xs {
@@ -353,7 +366,7 @@ func TestQuantileSelectMatchesSort(t *testing.T) {
 // TestQuantileNaNFallsBackToSort pins the NaN escape hatch: a NaN in a
 // large window must reproduce the sort path's long-standing ordering.
 func TestQuantileNaNFallsBackToSort(t *testing.T) {
-	n := quantileSelectMin + 10
+	n := selectCrossover + 10
 	xs := make([]float64, n)
 	for i := range xs {
 		xs[i] = float64(i)
@@ -389,8 +402,8 @@ func TestQuantilesMatchesQuantile(t *testing.T) {
 	}
 }
 
-// BenchmarkQuantile records the sort-vs-select crossover the
-// quantileSelectMin constant encodes.
+// BenchmarkQuantile records the sort-vs-select crossover model.Quantile
+// encodes.
 func BenchmarkQuantile(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	for _, n := range []int{256, 1024, 8192, 65536} {

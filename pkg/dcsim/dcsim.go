@@ -52,20 +52,9 @@ func Run(ctx context.Context, sc Scenario, obs ...Observer) (*Result, error) {
 	}
 	// The workload arrives through the streaming ingest: VM by VM, coarse
 	// series and chunk buffers dropped as records land, cancellable
-	// between records. Scenario.Materialize forces the legacy
-	// whole-Dataset path instead — same VMs byte for byte (the golden
-	// streamed-vs-materialized tests pin it), only the memory profile
-	// differs.
-	var vms []*VM
-	var err error
-	if sc.Materialize {
-		var ds *Dataset
-		if ds, err = GenerateTraces(sc.Workload); err == nil {
-			vms = model.VMsFromSeries(ds.Names, ds.Fine)
-		}
-	} else {
-		vms, err = vmsFor(ctx, sc.Workload)
-	}
+	// between records. The simulator is time-major, so every VM's fine
+	// series stays resident for the whole run.
+	vms, err := vmsFor(ctx, sc.Workload)
 	if err != nil {
 		return nil, err
 	}

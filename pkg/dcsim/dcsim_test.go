@@ -206,6 +206,10 @@ func TestParseScenarioRejectsUnknownFields(t *testing.T) {
 	if _, err := ParseScenario([]byte(`{"policy": "bfd", "typo_field": 1}`)); err == nil {
 		t.Error("unknown field did not error")
 	}
+	if _, err := ParseScenario([]byte(materializeScenario)); err == nil ||
+		!strings.Contains(err.Error(), `unknown field "materialize"`) {
+		t.Errorf("retired materialize field: err = %v, want an unknown-field rejection", err)
+	}
 	sc, err := ParseScenario([]byte(`{"policy": "bfd"}`))
 	if err != nil {
 		t.Fatal(err)

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"time"
 )
 
@@ -107,30 +106,17 @@ func (s *Series) Min() float64 {
 }
 
 // Percentile returns the p-th percentile (p in [0,1]) using linear
-// interpolation between closest ranks. Percentile(1) equals Max().
-// It returns 0 for an empty series.
+// interpolation between closest ranks (see Quantile). Percentile(0)
+// equals Min() and Percentile(1) equals Max(). It returns 0 for an empty
+// series.
 func (s *Series) Percentile(p float64) float64 {
-	n := len(s.samples)
-	if n == 0 {
-		return 0
-	}
-	if p <= 0 {
+	switch {
+	case p <= 0:
 		return s.Min()
-	}
-	if p >= 1 {
+	case p >= 1:
 		return s.Max()
 	}
-	sorted := make([]float64, n)
-	copy(sorted, s.samples)
-	sort.Float64s(sorted)
-	rank := p * float64(n-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return Quantile(s.samples, p)
 }
 
 // Ref returns the reference utilization û used throughout the paper: the

@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/pkg/dcsim/model"
 )
 
 // recordSmallDir records an 8-VM synthetic workload as a trace directory
@@ -26,15 +28,20 @@ func recordSmallDir(t *testing.T) string {
 	return dir
 }
 
-// TestRunMaterializeByteIdentical pins the knob at the single-run level:
-// the default streamed ingest and WithMaterialize produce byte-identical
-// results.
+// TestRunMaterializeByteIdentical pins the streaming ingest at the
+// single-run level: Run over the streamed workload and RunVMs over the
+// materialized Dataset of the same workload produce byte-identical results.
 func TestRunMaterializeByteIdentical(t *testing.T) {
-	streamed, err := Run(context.Background(), New(smallOpts()...))
+	sc := New(smallOpts()...)
+	streamed, err := Run(context.Background(), sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mat, err := Run(context.Background(), New(append(smallOpts(), WithMaterialize(true))...))
+	ds, err := GenerateTraces(sc.Workload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mat, err := RunVMs(context.Background(), model.VMsFromSeries(ds.Names, ds.Fine), sc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -218,7 +218,7 @@ func (a *Agent) call(ctx context.Context, method, url string, in, out any) error
 		return fmt.Errorf("fleet: %s %s: %w", method, url, err)
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
+	data, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
 	if err != nil {
 		return fmt.Errorf("fleet: %s %s: read response: %w", method, url, err)
 	}

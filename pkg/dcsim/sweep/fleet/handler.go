@@ -14,6 +14,11 @@ const (
 	listPath     = "/fleet"
 )
 
+// maxBodyBytes bounds every membership-protocol body either side reads —
+// register and heartbeat requests on the coordinator, replies on the
+// agent — so one oversized body cannot exhaust a long-lived process.
+const maxBodyBytes = 1 << 20
+
 // NewHandler exposes a Registry's membership protocol over HTTP:
 //
 //	POST   /fleet/register      join (RegisterRequest -> RegisterResponse)
@@ -28,7 +33,7 @@ const (
 func NewHandler(reg *Registry) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST "+registerPath, func(w http.ResponseWriter, r *http.Request) {
-		dec := json.NewDecoder(r.Body)
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 		dec.DisallowUnknownFields()
 		var req RegisterRequest
 		if err := dec.Decode(&req); err != nil {
@@ -46,7 +51,7 @@ func NewHandler(reg *Registry) http.Handler {
 		}
 	})
 	mux.HandleFunc("PUT "+membersPath+"{id}", func(w http.ResponseWriter, r *http.Request) {
-		dec := json.NewDecoder(r.Body)
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 		dec.DisallowUnknownFields()
 		var hb HeartbeatRequest
 		if err := dec.Decode(&hb); err != nil {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -368,4 +369,81 @@ func TestNormalizeURL(t *testing.T) {
 	if _, err := normalizeURL("  "); err == nil {
 		t.Fatal("blank URL must fail")
 	}
+}
+
+// spaces is an endless run of JSON whitespace, to pad a body past a size
+// bound without holding the padding in memory.
+type spaces struct{}
+
+func (spaces) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
+}
+
+// oversized returns v's JSON behind maxBodyBytes of leading whitespace:
+// a body that decodes as v if unbounded and trips the bound otherwise.
+func oversized(t *testing.T, v any) io.Reader {
+	t.Helper()
+	js, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return io.MultiReader(io.LimitReader(spaces{}, maxBodyBytes), bytes.NewReader(js))
+}
+
+// wantBadRequest checks a response carries the typed bad_request envelope.
+func wantBadRequest(t *testing.T, what string, resp *http.Response) {
+	t.Helper()
+	defer resp.Body.Close()
+	var fe fleetError
+	if err := json.NewDecoder(resp.Body).Decode(&fe); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || fe.Error.Code != "bad_request" {
+		t.Fatalf("%s: status %d, envelope %+v", what, resp.StatusCode, fe)
+	}
+}
+
+// TestRegisterRejectsOversizedBody pins the coordinator's register bound:
+// a body past maxBodyBytes gets the typed bad_request envelope and
+// registers nobody.
+func TestRegisterRejectsOversizedBody(t *testing.T) {
+	reg := NewRegistry(Config{DefaultInterval: time.Minute})
+	defer reg.Close()
+	ts := httptest.NewServer(NewHandler(reg))
+	defer ts.Close()
+	resp, err := http.Post(ts.URL+registerPath, "application/json",
+		oversized(t, RegisterRequest{URL: "http://w:1"}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantBadRequest(t, "oversized register", resp)
+	if n := len(reg.Members()); n != 0 {
+		t.Fatalf("oversized register admitted %d members", n)
+	}
+}
+
+// TestHeartbeatRejectsOversizedBody pins the coordinator's heartbeat
+// bound: a body past maxBodyBytes gets the typed bad_request envelope.
+func TestHeartbeatRejectsOversizedBody(t *testing.T) {
+	reg := NewRegistry(Config{DefaultInterval: time.Minute})
+	defer reg.Close()
+	ts := httptest.NewServer(NewHandler(reg))
+	defer ts.Close()
+	rr, err := reg.Register(RegisterRequest{URL: "http://w:1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := http.NewRequest(http.MethodPut, ts.URL+membersPath+rr.ID,
+		oversized(t, HeartbeatRequest{Status: "ok", Inflight: 1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantBadRequest(t, "oversized heartbeat", resp)
 }

@@ -157,6 +157,9 @@ func (g Grid) Validate() error {
 	if err != nil {
 		return err
 	}
+	if g.Replicas > maxRuns/len(cells) {
+		return fmt.Errorf("sweep: %d cells x %d replicas exceeds %d runs", len(cells), g.Replicas, maxRuns)
+	}
 	for _, c := range cells {
 		if err := dcsim.CheckScenario(c.Scenario); err != nil {
 			return fmt.Errorf("sweep: cell %d (%s): %w", c.Index, c.Name(), err)
@@ -197,6 +200,12 @@ func replicaSeedErr(c Cell, replicas int, stride int64) error {
 	return nil
 }
 
+// maxRuns bounds the runs a grid expands to, cells times replicas. Grids
+// arrive in untrusted request bodies, and a few dozen two-value axes or
+// one huge replica count would otherwise overflow the count or exhaust
+// memory before any other check runs.
+const maxRuns = 1 << 16
+
 // Cells expands the cross-product in canonical order: the first axis varies
 // slowest, the last fastest, exactly like nested loops over the axes.
 func (g Grid) Cells() ([]Cell, error) {
@@ -205,6 +214,9 @@ func (g Grid) Cells() ([]Cell, error) {
 	for _, ax := range g.Axes {
 		if len(ax.Values) == 0 {
 			return nil, fmt.Errorf("sweep: axis %q has no values", ax.Field)
+		}
+		if total > maxRuns/len(ax.Values) {
+			return nil, fmt.Errorf("sweep: grid expands to more than %d cells", maxRuns)
 		}
 		total *= len(ax.Values)
 	}

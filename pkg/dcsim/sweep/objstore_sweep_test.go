@@ -41,7 +41,13 @@ func recordedGrid(kind, path string) Grid {
 // each cell's scenario, whose kind/path legitimately differ).
 func sweepCSV(t *testing.T, g Grid) []byte {
 	t.Helper()
-	res, err := Run(context.Background(), g, Options{Workers: 2})
+	return runCSV(t, g, nil)
+}
+
+// runCSV is sweepCSV through the given executor (nil: in-process).
+func runCSV(t *testing.T, g Grid, exec Executor) []byte {
+	t.Helper()
+	res, err := Run(context.Background(), g, Options{Workers: 2, Executor: exec})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -378,9 +378,10 @@ func parseRetryAfter(v string) time.Duration {
 	return time.Duration(secs) * time.Second
 }
 
-// maxBodyBytes bounds every response body this client reads — run
-// results, capability listings, and health probes alike — so a confused
-// or hostile endpoint cannot balloon the sweep driver's memory.
+// maxBodyBytes bounds every body either side of the protocol reads — run
+// requests on the worker; run results, capability listings, and health
+// probes on the client — so a confused or hostile peer cannot balloon a
+// long-lived process's memory.
 const maxBodyBytes = 64 << 20
 
 // snippet bounds an HTTP body for error messages.

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -657,5 +658,38 @@ func TestCapabilitiesFingerprintStable(t *testing.T) {
 	e := Capabilities{Governors: []string{"x"}}
 	if d.Fingerprint() == e.Fingerprint() {
 		t.Fatal("fingerprint collides across groups")
+	}
+}
+
+// spaces is an endless run of JSON whitespace, to pad a body past a size
+// bound without holding the padding in memory.
+type spaces struct{}
+
+func (spaces) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
+}
+
+// TestRunRejectsOversizedBody pins the worker's request bound: a /run body
+// past maxBodyBytes is refused with the typed bad_request envelope instead
+// of being buffered whole. The padding is leading whitespace, so without
+// the bound the body would decode as a (zero) CellRun.
+func TestRunRejectsOversizedBody(t *testing.T) {
+	srv := httptest.NewServer(&Server{})
+	defer srv.Close()
+	body := io.MultiReader(io.LimitReader(spaces{}, maxBodyBytes), strings.NewReader("{}"))
+	resp, err := http.Post(srv.URL+runPath, "application/json", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var env runResponse
+	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || env.Error == nil || env.Error.Code != CodeBadRequest {
+		t.Fatalf("oversized /run body: status %d, envelope %+v", resp.StatusCode, env.Error)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sync/atomic"
 
@@ -129,10 +130,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.inflight.Add(-1)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	var run sweep.CellRun
-	if err := dec.Decode(&run); err != nil {
+	run, err := decodeCellRun(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err != nil {
 		s.writeError(w, http.StatusBadRequest, CodeBadRequest, "decode cell run: "+err.Error())
 		return
 	}
@@ -158,6 +157,15 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	s.logf("ran cell %d (%s) replica %d", run.Cell.Index, run.Cell.Name(), run.Replica)
 	writeJSON(w, http.StatusOK, runResponse{Result: res})
+}
+
+// decodeCellRun decodes a /run body: one CellRun, unknown fields rejected.
+func decodeCellRun(body io.Reader) (sweep.CellRun, error) {
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	var run sweep.CellRun
+	err := dec.Decode(&run)
+	return run, err
 }
 
 // writeError sends a typed error envelope and logs it.

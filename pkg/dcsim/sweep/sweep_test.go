@@ -145,6 +145,10 @@ func TestParseGridRejectsUnknownFields(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "axis") {
 		t.Fatalf("err = %v, want unknown-field rejection", err)
 	}
+	_, err = DecodeGrid([]byte(materializeGrid))
+	if err == nil || !strings.Contains(err.Error(), `unknown field "materialize"`) {
+		t.Fatalf("retired materialize field: err = %v, want unknown-field rejection", err)
+	}
 }
 
 func TestParseGridRoundTrip(t *testing.T) {
