@@ -7,9 +7,9 @@ STATICCHECK_VERSION ?= 2025.1.1
 
 .PHONY: ci lint fmt vet staticcheck staticcheck-version build test race \
 	bench bench-sweep bench-alloc bench-compare leakcheck smoke-service \
-	smoke-fleet smoke-objstore
+	smoke-fleet smoke-objstore perfbench-check
 
-ci: lint build test race smoke-service smoke-fleet smoke-objstore bench-compare
+ci: lint build test race perfbench-check smoke-service smoke-fleet smoke-objstore bench-compare
 
 # lint is the static gate CI's lint job runs: formatting, go vet,
 # staticcheck, and the public-API leak check.
@@ -56,6 +56,12 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchmem .
+
+# perfbench-check vets and tests the end-to-end benchmark, its own module
+# (so the root `go test ./...` never compiles it) built against this
+# checkout's pkg/dcsim API.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # leakcheck fails if any exported identifier in pkg/dcsim/... references a
 # type from an internal/ package — the public API must speak only

@@ -79,11 +79,13 @@ func serveMain(args []string) {
 	if !*quiet {
 		cfg.Logf = log.Printf
 	}
+	// -remote and -fleet share one executor; they differ only in the
+	// worker set it dispatches over.
+	execOpts := []remote.Option{remote.WithInFlight(*inflight), remote.WithLocalSlots(*local)}
 	var reg *fleet.Registry
 	switch {
 	case *remotes != "":
-		exec, err := remote.NewExecutor(remote.SplitURLList(*remotes),
-			remote.WithInFlight(*inflight), remote.WithLocalSlots(*local))
+		exec, err := remote.NewExecutor(remote.SplitURLList(*remotes), execOpts...)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -101,8 +103,7 @@ func serveMain(args []string) {
 		}
 	case *useFleet:
 		reg = fleet.NewRegistry(fleet.Config{MissThreshold: *fleetMiss, Logf: log.Printf})
-		exec, err := fleet.NewExecutor(reg,
-			fleet.WithInFlight(*inflight), fleet.WithLocalSlots(*local))
+		exec, err := remote.NewSetExecutor(reg, execOpts...)
 		if err != nil {
 			log.Fatal(err)
 		}

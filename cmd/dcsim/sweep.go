@@ -127,9 +127,11 @@ func sweepMain(args []string) {
 	defer stop()
 
 	opts := sweep.Options{Workers: *workers}
+	// -remote and -fleet share one executor; they differ only in the
+	// worker set it dispatches over.
+	execOpts := []remote.Option{remote.WithInFlight(*inflight), remote.WithLocalSlots(*local)}
 	if *remotes != "" {
-		exec, err := remote.NewExecutor(remote.SplitURLList(*remotes),
-			remote.WithInFlight(*inflight), remote.WithLocalSlots(*local))
+		exec, err := remote.NewExecutor(remote.SplitURLList(*remotes), execOpts...)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -165,8 +167,7 @@ func sweepMain(args []string) {
 		if err := reg.WaitForMembers(ctx, *fleetMin); err != nil {
 			log.Fatal(err)
 		}
-		exec, err := fleet.NewExecutor(reg,
-			fleet.WithInFlight(*inflight), fleet.WithLocalSlots(*local))
+		exec, err := remote.NewSetExecutor(reg, execOpts...)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -108,7 +108,7 @@ func main() {
 		Replicas: 2,
 	}
 
-	exec, err := fleet.NewExecutor(reg, fleet.WithInFlight(2))
+	exec, err := remote.NewSetExecutor(reg, remote.WithInFlight(2))
 	if err != nil {
 		log.Fatal(err)
 	}

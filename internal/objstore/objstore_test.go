@@ -420,25 +420,6 @@ func TestOptionErrors(t *testing.T) {
 	}
 }
 
-// TestRetryPolicyDeterministic pins the backoff shape: pure in its inputs,
-// bounded by Max, and non-trivial across attempts.
-func TestRetryPolicyDeterministic(t *testing.T) {
-	p := RetryPolicy{Base: 10 * time.Millisecond, Max: 80 * time.Millisecond, Seed: 7}
-	for attempt := 0; attempt < 6; attempt++ {
-		a := p.Delay("obj", attempt)
-		b := p.Delay("obj", attempt)
-		if a != b {
-			t.Fatalf("Delay(obj, %d) not deterministic: %v vs %v", attempt, a, b)
-		}
-		if a <= 0 || a > p.Max {
-			t.Fatalf("Delay(obj, %d) = %v outside (0, %v]", attempt, a, p.Max)
-		}
-	}
-	if p.Delay("obj-a", 1) == p.Delay("obj-b", 1) {
-		t.Fatal("jitter ignores the object name")
-	}
-}
-
 // TestSeedInvariant pins the capability: recorded object-store traces
 // ignore the seed, exactly like trace-dir.
 func TestSeedInvariant(t *testing.T) {

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/pkg/dcsim/model"
 	"repro/pkg/dcsim/sweep/fleet"
 	"repro/pkg/dcsim/sweep/remote"
 )
@@ -44,9 +45,9 @@ func TestFleetJobSurvivesWorkerDeath(t *testing.T) {
 		}
 	}
 
-	exec, err := fleet.NewExecutor(reg,
-		fleet.WithInFlight(1), fleet.WithLocalSlots(1),
-		fleet.WithRetry(remote.RetryPolicy{Base: time.Millisecond, Max: 4 * time.Millisecond}))
+	exec, err := remote.NewSetExecutor(reg,
+		remote.WithInFlight(1), remote.WithLocalSlots(1),
+		remote.WithRetry(model.RetryPolicy{Base: time.Millisecond, Max: 4 * time.Millisecond}))
 	if err != nil {
 		t.Fatal(err)
 	}

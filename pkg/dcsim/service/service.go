@@ -81,15 +81,17 @@ type Config struct {
 	// `dcsim serve`, the remote executor's capacity).
 	Workers int
 	// Executor runs each job's cell-replicas. Nil selects the
-	// in-process LocalExecutor; a remote.Executor fans jobs out to an
-	// HTTP worker fleet instead. It is shared by all jobs and must be
-	// safe for concurrent use (both bundled executors are).
+	// in-process LocalExecutor; a remote.Executor fans jobs out to HTTP
+	// workers instead — remote.NewExecutor over a static URL list, or
+	// remote.NewSetExecutor over the Fleet registry. It is shared by all
+	// jobs and must be safe for concurrent use (both bundled executors
+	// are).
 	Executor sweep.Executor
 	// Fleet, when set, is the elastic-fleet membership this service
 	// coordinates: Server mounts its /fleet endpoints (registration,
 	// heartbeats, listing) and WriteOpenMetrics renders the dcsim_fleet_*
-	// families from its stats. Pair it with a fleet.Executor over the
-	// same registry as Executor.
+	// families from its stats. Pair it with remote.NewSetExecutor(Fleet,
+	// ...) as Executor.
 	Fleet *fleet.Registry
 	// Logf, when set, receives one line per job transition. Nil means
 	// silent.

@@ -10,6 +10,9 @@ import (
 	"net/http"
 	"strings"
 	"time"
+
+	"repro/pkg/dcsim/model"
+	"repro/pkg/dcsim/sweep/remote"
 )
 
 // AgentConfig tells an Agent who it is and where the coordinator lives.
@@ -51,10 +54,10 @@ type Agent struct {
 // NewAgent validates the config and builds an agent.
 func NewAgent(cfg AgentConfig) (*Agent, error) {
 	var err error
-	if cfg.Coordinator, err = normalizeURL(cfg.Coordinator); err != nil {
+	if cfg.Coordinator, err = remote.NormalizeURL(cfg.Coordinator); err != nil {
 		return nil, fmt.Errorf("fleet: coordinator URL: %w", err)
 	}
-	if cfg.SelfURL, err = normalizeURL(cfg.SelfURL); err != nil {
+	if cfg.SelfURL, err = remote.NormalizeURL(cfg.SelfURL); err != nil {
 		return nil, fmt.Errorf("fleet: worker URL: %w", err)
 	}
 	if cfg.Client == nil {
@@ -131,8 +134,9 @@ func (a *Agent) Run(ctx context.Context) error {
 	}
 }
 
-// register announces the worker, retrying until the coordinator accepts
-// or ctx ends. It returns the granted member ID and interval.
+// register announces the worker, retrying under the default
+// model.RetryPolicy until the coordinator accepts or ctx ends. It returns
+// the granted member ID and interval.
 func (a *Agent) register(ctx context.Context) (string, time.Duration, error) {
 	status, _ := a.status()
 	req := RegisterRequest{
@@ -141,7 +145,7 @@ func (a *Agent) register(ctx context.Context) (string, time.Duration, error) {
 		IntervalMS:   a.cfg.Interval.Milliseconds(),
 		Status:       status,
 	}
-	for {
+	for attempt := 0; ; attempt++ {
 		var resp RegisterResponse
 		err := a.call(ctx, http.MethodPost, a.cfg.Coordinator+registerPath, req, &resp)
 		if err == nil {
@@ -154,7 +158,7 @@ func (a *Agent) register(ctx context.Context) (string, time.Duration, error) {
 			return resp.ID, interval, nil
 		}
 		a.logf("fleet: register with %s failed (%v), retrying", a.cfg.Coordinator, err)
-		if serr := sleepCtx(ctx, 500*time.Millisecond); serr != nil {
+		if serr := model.Sleep(ctx, model.RetryPolicy{}.Delay(attempt, a.cfg.SelfURL)); serr != nil {
 			return "", 0, fmt.Errorf("fleet: register with %s: %w (last failure: %v)", a.cfg.Coordinator, serr, err)
 		}
 	}

@@ -1,9 +1,9 @@
-// Package fleet makes sweep execution elastic: instead of the static URL
-// list sweep/remote fans out to, a coordinator-side Registry tracks a
-// membership of workers that announce themselves and heartbeat, and a
-// fleet-aware Executor dispatches cell-replicas over the *current* member
-// set — admitting workers that join mid-sweep and stealing back the
-// unacknowledged runs of workers that die or drain.
+// Package fleet makes sweep execution elastic: instead of a static URL
+// list, a coordinator-side Registry tracks a membership of workers that
+// announce themselves and heartbeat, and the one sweep dispatcher,
+// remote.Executor, runs over the *current* member set — admitting workers
+// that join mid-sweep and stealing back the unacknowledged runs of workers
+// that die or drain.
 //
 // The pieces, coordinator side:
 //
@@ -12,12 +12,10 @@
 //     after Config.MissThreshold missed beats. Expiry cancels the member's
 //     context, so runs in flight on a vanished worker abort promptly and
 //     re-execute elsewhere instead of hanging on a dead TCP connection.
-//   - Executor implements sweep.Executor over the Registry: each live,
-//     non-draining member runs at most WithInFlight cell-replicas at a
-//     time; a joining member starts absorbing queued runs immediately; a
-//     dying one has its runs stolen back and re-executed on survivors
-//     (counted in Stats.RunsStolen). WithLocalSlots adds in-process slots
-//     that never die — the mixed local+fleet mode.
+//     Registry implements remote.WorkerSet: remote.NewSetExecutor(reg,
+//     ...) dispatches over it with the same options, retry policy, local
+//     slots and ErrAllWorkersDown sentinel a static worker list gets. Runs
+//     taken back from a dying member count in Stats.RunsStolen.
 //   - Handler exposes the membership protocol over HTTP: POST
 //     /fleet/register, heartbeat PUTs to /fleet/members/{id}, and a GET
 //     /fleet listing. `dcsim sweep -fleet` and `dcsim serve -fleet` mount
@@ -30,32 +28,19 @@
 //     on the interval, re-register when the coordinator forgot us, report
 //     "draining" during the drain window, deregister on the way out.
 //
-// The determinism contract is the same one sweep/remote pins, and it is
+// The determinism contract is the one sweep/remote pins, and it is
 // non-negotiable: every (cell, replica) run completes exactly once from
 // the collector's point of view, runs are deterministic, and the collector
 // folds them in replica order — so a sweep's aggregate bytes are identical
 // to LocalExecutor's regardless of fleet shape or churn timing. Workers
 // joining, dying mid-cell, or draining move *where* runs execute, never
 // what they produce.
-//
-// Failure semantics: transport failures and heartbeat expiry remove the
-// member and steal its runs; a 503 draining reroutes without counting a
-// death; a 503 busy waits out the Retry-After; typed deterministic errors
-// abort the sweep untried. When no routable member is left (and no local
-// slots exist), ExecuteCell fails with ErrNoWorkers and sweep.Run keeps
-// the cells already completed.
 package fleet
 
 import (
 	"errors"
 	"time"
 )
-
-// ErrNoWorkers is returned (wrapped) by Executor.ExecuteCell when the
-// fleet has no routable member left — every worker expired, died, or
-// drained away — and the executor has no local slots to degrade to.
-// sweep.Run surfaces it while preserving the cells already completed.
-var ErrNoWorkers = errors.New("fleet: no live workers")
 
 // ErrUnknownMember marks a heartbeat or deregistration for a member ID
 // the registry does not hold — typically one expired for missed beats.
@@ -114,7 +99,7 @@ type MemberInfo struct {
 	MissedBeats  int       `json:"missed_beats,omitempty"`
 	// Inflight is the worker's self-reported in-flight run count from its
 	// last heartbeat; Dispatched is the coordinator-side count of runs
-	// currently dispatched to it by the fleet executor.
+	// currently dispatched to it by the executor.
 	Inflight   int64 `json:"inflight,omitempty"`
 	Dispatched int   `json:"dispatched,omitempty"`
 }

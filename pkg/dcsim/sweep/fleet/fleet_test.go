@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/pkg/dcsim"
+	"repro/pkg/dcsim/model"
 	"repro/pkg/dcsim/sweep"
 	"repro/pkg/dcsim/sweep/remote"
 )
@@ -50,7 +51,7 @@ func localGolden(t *testing.T, g sweep.Grid) []byte {
 }
 
 // fastRetry keeps churn tests quick without disabling the backoff path.
-var fastRetry = remote.RetryPolicy{Base: time.Millisecond, Max: 4 * time.Millisecond}
+var fastRetry = model.RetryPolicy{Base: time.Millisecond, Max: 4 * time.Millisecond}
 
 // testRegistry builds a registry whose members never expire on their own:
 // churn in these tests is injected, not accidental.
@@ -85,7 +86,7 @@ func join(t *testing.T, reg *Registry, url string) string {
 }
 
 // fleetRun sweeps the grid over the executor with a fixed fan-out.
-func fleetRun(t *testing.T, g sweep.Grid, exec *Executor, workers int, progress func(sweep.Progress)) (*sweep.Result, error) {
+func fleetRun(t *testing.T, g sweep.Grid, exec *remote.Executor, workers int, progress func(sweep.Progress)) (*sweep.Result, error) {
 	t.Helper()
 	return sweep.Run(context.Background(), g, sweep.Options{
 		Workers:  workers,
@@ -104,7 +105,7 @@ func TestFleetDeterminism(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		join(t, reg, startWorker(t, nil))
 	}
-	exec, err := NewExecutor(reg, WithInFlight(2), WithRetry(fastRetry))
+	exec, err := remote.NewSetExecutor(reg, remote.WithInFlight(2), remote.WithRetry(fastRetry))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +154,7 @@ func TestJoinMidSweepAbsorbsRuns(t *testing.T) {
 			}
 		}
 	}
-	exec, err := NewExecutor(reg, WithInFlight(1), WithRetry(fastRetry))
+	exec, err := remote.NewSetExecutor(reg, remote.WithInFlight(1), remote.WithRetry(fastRetry))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +194,7 @@ func TestWorkerKilledMidCellStolen(t *testing.T) {
 		})
 	}))
 	join(t, reg, startWorker(t, nil))
-	exec, err := NewExecutor(reg, WithInFlight(1), WithRetry(fastRetry))
+	exec, err := remote.NewSetExecutor(reg, remote.WithInFlight(1), remote.WithRetry(fastRetry))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +223,7 @@ func TestWorkerKilledMidCellStolen(t *testing.T) {
 
 // TestAllWorkersLost pins the typed-error contract: when the whole fleet
 // dies mid-sweep and no local slots exist, the sweep fails with
-// ErrNoWorkers and the cells already completed are preserved.
+// ErrAllWorkersDown and the cells already completed are preserved.
 func TestAllWorkersLost(t *testing.T) {
 	g := tinyGrid()
 	g.Axes = g.Axes[:1] // 2 cells
@@ -237,13 +238,13 @@ func TestAllWorkersLost(t *testing.T) {
 			h.ServeHTTP(w, r)
 		})
 	}))
-	exec, err := NewExecutor(reg, WithInFlight(1), WithRetry(fastRetry))
+	exec, err := remote.NewSetExecutor(reg, remote.WithInFlight(1), remote.WithRetry(fastRetry))
 	if err != nil {
 		t.Fatal(err)
 	}
 	res, err := fleetRun(t, g, exec, 1, nil)
-	if !errors.Is(err, ErrNoWorkers) {
-		t.Fatalf("err = %v, want ErrNoWorkers", err)
+	if !errors.Is(err, remote.ErrAllWorkersDown) {
+		t.Fatalf("err = %v, want ErrAllWorkersDown", err)
 	}
 	if res == nil || res.Complete {
 		t.Fatal("want a partial result")
@@ -284,7 +285,7 @@ func TestExpiryStealsFromBlackholedWorker(t *testing.T) {
 	if _, err := reg.Register(RegisterRequest{URL: startWorker(t, nil), IntervalMS: 60_000}); err != nil {
 		t.Fatal(err)
 	}
-	exec, err := NewExecutor(reg, WithInFlight(2), WithRetry(fastRetry))
+	exec, err := remote.NewSetExecutor(reg, remote.WithInFlight(2), remote.WithRetry(fastRetry))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +323,7 @@ func TestDrainingWorkerGetsNothingNew(t *testing.T) {
 	if _, err := reg.Register(RegisterRequest{URL: drainingURL, Status: StateDraining}); err != nil {
 		t.Fatal(err)
 	}
-	exec, err := NewExecutor(reg, WithInFlight(2), WithRetry(fastRetry))
+	exec, err := remote.NewSetExecutor(reg, remote.WithInFlight(2), remote.WithRetry(fastRetry))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +357,7 @@ func TestServerSideDrainReroutes(t *testing.T) {
 	t.Cleanup(ts.Close)
 	id := join(t, reg, ts.URL)
 	join(t, reg, startWorker(t, nil))
-	exec, err := NewExecutor(reg, WithInFlight(1), WithRetry(fastRetry))
+	exec, err := remote.NewSetExecutor(reg, remote.WithInFlight(1), remote.WithRetry(fastRetry))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +394,7 @@ func TestMixedLocalFleetDegrade(t *testing.T) {
 	closedURL := closed.URL
 	closed.Close()
 	join(t, reg, closedURL)
-	exec, err := NewExecutor(reg, WithLocalSlots(2), WithRetry(fastRetry))
+	exec, err := remote.NewSetExecutor(reg, remote.WithLocalSlots(2), remote.WithRetry(fastRetry))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,11 +412,11 @@ func TestMixedLocalFleetDegrade(t *testing.T) {
 }
 
 // TestEmptyFleetNoLocalFailsFast: dispatch against a fleet that never had
-// members (and no local slots) fails with ErrNoWorkers instead of
+// members (and no local slots) fails with ErrAllWorkersDown instead of
 // blocking for a joiner that may never come.
 func TestEmptyFleetNoLocalFailsFast(t *testing.T) {
 	reg := testRegistry(t)
-	exec, err := NewExecutor(reg)
+	exec, err := remote.NewSetExecutor(reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,21 +425,7 @@ func TestEmptyFleetNoLocalFailsFast(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = exec.ExecuteCell(context.Background(), sweep.CellRun{Cell: cells[0], SeedStride: 1})
-	if !errors.Is(err, ErrNoWorkers) {
-		t.Fatalf("err = %v, want ErrNoWorkers", err)
-	}
-}
-
-// TestNewExecutorRejects pins constructor validation.
-func TestNewExecutorRejects(t *testing.T) {
-	reg := testRegistry(t)
-	if _, err := NewExecutor(nil); err == nil {
-		t.Fatal("nil registry must fail")
-	}
-	if _, err := NewExecutor(reg, WithInFlight(0)); err == nil {
-		t.Fatal("zero in-flight must fail")
-	}
-	if _, err := NewExecutor(reg, WithLocalSlots(-1)); err == nil {
-		t.Fatal("negative local slots must fail")
+	if !errors.Is(err, remote.ErrAllWorkersDown) {
+		t.Fatalf("err = %v, want ErrAllWorkersDown", err)
 	}
 }

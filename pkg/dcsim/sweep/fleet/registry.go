@@ -3,9 +3,10 @@ package fleet
 import (
 	"context"
 	"fmt"
-	"strings"
 	"sync"
 	"time"
+
+	"repro/pkg/dcsim/sweep/remote"
 )
 
 // Config tunes a Registry.
@@ -40,7 +41,7 @@ func (c Config) withDefaults() Config {
 }
 
 // member is one worker's registry record. Registry.mu guards every
-// mutable field; the pointer outlives removal (the executor may still
+// mutable field; the pointer outlives removal (an expiry timer may still
 // hold it), with gone marking the record dead.
 type member struct {
 	id          string
@@ -62,9 +63,10 @@ type member struct {
 }
 
 // Registry is the coordinator-side fleet membership: who is in the
-// fleet, how fresh their heartbeats are, and the churn counters. It is
-// safe for concurrent use by the HTTP handler, the fleet executor, and
-// the per-member expiry timers.
+// fleet, how fresh their heartbeats are, and the churn counters. It is a
+// remote.WorkerSet, so remote.NewSetExecutor dispatches a sweep over
+// whatever members it holds. It is safe for concurrent use by the HTTP
+// handler, the executor, and the per-member expiry timers.
 type Registry struct {
 	cfg Config
 
@@ -81,6 +83,8 @@ type Registry struct {
 	misses        uint64
 	stolen        uint64
 }
+
+var _ remote.WorkerSet = (*Registry)(nil)
 
 // NewRegistry builds an empty registry.
 func NewRegistry(cfg Config) *Registry {
@@ -106,25 +110,12 @@ func (r *Registry) broadcastLocked() {
 	r.changed = make(chan struct{})
 }
 
-// changedChan returns the channel closed at the next membership or slot
-// change.
-func (r *Registry) changedChan() <-chan struct{} {
+// Changed implements remote.WorkerSet: it returns the channel closed at
+// the next membership or slot change.
+func (r *Registry) Changed() <-chan struct{} {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.changed
-}
-
-// normalizeURL applies the worker-URL normalization the static executor
-// uses: trim, default the scheme to http, drop trailing slashes.
-func normalizeURL(raw string) (string, error) {
-	u := strings.TrimRight(strings.TrimSpace(raw), "/")
-	if u == "" {
-		return "", fmt.Errorf("fleet: empty worker URL")
-	}
-	if !strings.Contains(u, "://") {
-		u = "http://" + u
-	}
-	return u, nil
 }
 
 // Register admits a worker into the fleet (or refreshes it: registering
@@ -132,7 +123,7 @@ func normalizeURL(raw string) (string, error) {
 // does). The response names the member ID heartbeats must carry and the
 // granted interval.
 func (r *Registry) Register(req RegisterRequest) (RegisterResponse, error) {
-	url, err := normalizeURL(req.URL)
+	url, err := remote.NormalizeURL(req.URL)
 	if err != nil {
 		return RegisterResponse{}, err
 	}
@@ -251,13 +242,16 @@ func watchdog(interval time.Duration) time.Duration {
 	return interval + interval/2
 }
 
-// ReportFailure removes a member on hard evidence from the data path — a
-// transport-level dispatch failure. It counts as an expiration and, like
-// expiry, cancels the member's context so other in-flight dispatches to
-// it abort and get stolen.
+// ReportFailure implements remote.WorkerSet: a dispatch to the member was
+// lost — a transport failure, or the member removed mid-run — and the run
+// is stolen back (counted in Stats.RunsStolen). A member still present is
+// removed on that hard evidence from the data path; it counts as an
+// expiration and, like expiry, cancels the member's context so other
+// in-flight dispatches to it abort and get stolen too.
 func (r *Registry) ReportFailure(id string, cause error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.stolen++
 	m, ok := r.members[id]
 	if !ok || m.gone {
 		return
@@ -265,8 +259,9 @@ func (r *Registry) ReportFailure(id string, cause error) {
 	r.expireLocked(m, fmt.Sprintf("transport failure: %v", cause))
 }
 
-// MarkDraining flags a member as draining from the data path — a worker
-// answering 503 draining before its heartbeat said so.
+// MarkDraining implements remote.WorkerSet: it flags a member as draining
+// from the data path — a worker answering 503 draining before its
+// heartbeat said so.
 func (r *Registry) MarkDraining(id string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -321,12 +316,13 @@ func (r *Registry) removeLocked(m *member, reason string) {
 		m.id, m.url, reason, m.dispatched)
 }
 
-// acquireSlot claims one dispatch slot on the least-loaded routable
-// member (alive, not draining, under the per-member limit), join order
-// breaking ties. It returns the member, or nil with the count of
-// routable members — 0 meaning the fleet is empty, a positive count
-// meaning every member is at capacity and the caller should wait.
-func (r *Registry) acquireSlot(limit int) (*member, int) {
+// AcquireSlot implements remote.WorkerSet: it claims one dispatch slot on
+// the least-loaded routable member (alive, not draining, under the
+// per-member limit), join order breaking ties. The worker's Lost context
+// is the member's, cancelled when the registry removes it. With no slot
+// free it returns nil and the count of routable members — 0 meaning the
+// fleet is empty, a positive count meaning every member is at capacity.
+func (r *Registry) AcquireSlot(limit int) (*remote.Worker, int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	routable := 0
@@ -343,27 +339,22 @@ func (r *Registry) acquireSlot(limit int) (*member, int) {
 			pick = m
 		}
 	}
-	if pick != nil {
-		pick.dispatched++
+	if pick == nil {
+		return nil, routable
 	}
-	return pick, routable
+	pick.dispatched++
+	return &remote.Worker{ID: pick.id, URL: pick.url, Lost: pick.ctx}, routable
 }
 
-// releaseSlot returns a dispatch slot and wakes slot waiters.
-func (r *Registry) releaseSlot(m *member) {
+// ReleaseSlot implements remote.WorkerSet: it returns a dispatch slot and
+// wakes slot waiters.
+func (r *Registry) ReleaseSlot(id string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if !m.gone && m.dispatched > 0 {
+	if m, ok := r.members[id]; ok && m.dispatched > 0 {
 		m.dispatched--
 	}
 	r.broadcastLocked()
-}
-
-// noteStolen counts one run stolen back from a dead or draining member.
-func (r *Registry) noteStolen() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.stolen++
 }
 
 // Members snapshots the current membership in join order.

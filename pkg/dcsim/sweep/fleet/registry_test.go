@@ -12,6 +12,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/pkg/dcsim/sweep/remote"
 )
 
 // waitFor polls cond until it holds or the deadline passes.
@@ -354,20 +356,33 @@ func TestAgentRetriesUntilCoordinatorUp(t *testing.T) {
 	ts.Close()
 }
 
-// TestNormalizeURL pins the one URL-normalization rule.
+// TestNormalizeURL pins the one URL-normalization rule (shared with the
+// static worker list): registrations normalize through it, and a
+// malformed address is refused at the door instead of surfacing as a
+// transport failure mid-sweep.
 func TestNormalizeURL(t *testing.T) {
 	for raw, want := range map[string]string{
 		"host:8070":     "http://host:8070",
 		" http://h:1/ ": "http://h:1",
 		"https://h:2":   "https://h:2",
 	} {
-		got, err := normalizeURL(raw)
+		got, err := remote.NormalizeURL(raw)
 		if err != nil || got != want {
-			t.Fatalf("normalizeURL(%q) = %q, %v; want %q", raw, got, err, want)
+			t.Fatalf("NormalizeURL(%q) = %q, %v; want %q", raw, got, err, want)
 		}
 	}
-	if _, err := normalizeURL("  "); err == nil {
-		t.Fatal("blank URL must fail")
+	reg := NewRegistry(Config{DefaultInterval: time.Minute})
+	defer reg.Close()
+	for _, raw := range []string{"  ", "://", "http://", "ftp://h:1"} {
+		if got, err := remote.NormalizeURL(raw); err == nil {
+			t.Fatalf("NormalizeURL(%q) = %q, want an error", raw, got)
+		}
+		if _, err := reg.Register(RegisterRequest{URL: raw}); err == nil {
+			t.Fatalf("Register(%q) accepted a malformed URL", raw)
+		}
+	}
+	if n := len(reg.Members()); n != 0 {
+		t.Fatalf("malformed registrations admitted %d members", n)
 	}
 }
 

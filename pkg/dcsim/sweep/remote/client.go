@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -15,16 +16,17 @@ import (
 	"time"
 
 	"repro/pkg/dcsim"
+	"repro/pkg/dcsim/model"
 	"repro/pkg/dcsim/sweep"
 )
 
-// Executor implements sweep.Executor over a static set of HTTP workers,
-// optionally mixed with in-process slots. Each worker runs at most
-// InFlight cell-replicas at a time; when a worker fails at the transport
-// level it is marked dead and its cell-replica is retried on a surviving
-// worker (or a local slot). Runs are deterministic, so a retried replica
-// reproduces the lost run exactly and the sweep's aggregate bytes do not
-// depend on which worker ran what.
+// Executor implements sweep.Executor over a WorkerSet, optionally mixed
+// with in-process slots. Each worker runs at most WithInFlight
+// cell-replicas at a time; a worker that fails at the transport level, or
+// that its set drops mid-run, leaves the rotation and its cell-replica is
+// re-executed on a survivor (or a local slot). Runs are deterministic, so
+// a retried replica reproduces the lost run exactly and the sweep's
+// aggregate bytes do not depend on which worker ran what.
 //
 // Use it as sweep.Options.Executor:
 //
@@ -34,86 +36,73 @@ import (
 //		Executor: exec,
 //	})
 type Executor struct {
-	cfg      config
-	backends []*backend
-	// tokens holds one entry per free execution slot; pulling one both
-	// bounds in-flight work per backend and picks the backend to run on.
-	// Tokens of dead backends are dropped on pull instead of reissued.
-	tokens chan *backend
+	set  WorkerSet
+	urls []string // the static list NewExecutor was given, normalized
+	cfg  config
 
-	mu      sync.Mutex
-	alive   int
-	deadGen chan struct{} // closed and replaced on every death (broadcast)
+	local       sweep.LocalExecutor
+	localTokens chan struct{} // one entry per free local slot; nil without WithLocalSlots
 }
 
-// backend is one execution target: an HTTP worker, or the local process.
-type backend struct {
-	url   string               // base URL; "" for the local backend
-	local *sweep.LocalExecutor // set on the local backend only
-	slots int
-
-	mu   sync.Mutex
-	dead bool
-}
-
-func (b *backend) name() string {
-	if b.local != nil {
-		return "local"
-	}
-	return b.url
-}
-
-func (b *backend) isDead() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.dead
-}
-
-// config carries NewExecutor options.
+// config carries executor options.
 type config struct {
 	inFlight   int
 	localSlots int
 	client     *http.Client
-	retry      RetryPolicy
+	retry      model.RetryPolicy
 }
 
-// Option configures NewExecutor.
+// Option configures NewExecutor and NewSetExecutor.
 type Option func(*config)
 
 // WithInFlight bounds concurrent requests per worker (default 4).
 func WithInFlight(n int) Option { return func(c *config) { c.inFlight = n } }
 
 // WithLocalSlots adds n in-process execution slots alongside the workers —
-// the mixed local+remote mode. The local slots never die: with all workers
-// down the sweep degrades to purely local execution.
+// the mixed local+remote mode. The local slots never die: with every
+// worker gone the sweep degrades to purely local execution.
 func WithLocalSlots(n int) Option { return func(c *config) { c.localSlots = n } }
 
 // WithHTTPClient replaces the default HTTP client (no timeout: runs are
 // long and cancellation travels through the request context).
 func WithHTTPClient(client *http.Client) Option { return func(c *config) { c.client = client } }
 
-// WithRetry replaces the default retry policy (50ms base, 2s cap, seed 0)
-// shaping the backoff between a failed dispatch and its re-execution.
-func WithRetry(p RetryPolicy) Option { return func(c *config) { c.retry = p } }
+// WithRetry replaces the default retry policy (50ms base, 2s cap) shaping
+// the backoff between a failed dispatch and its re-execution.
+func WithRetry(p model.RetryPolicy) Option { return func(c *config) { c.retry = p } }
 
-// SplitURLList splits a comma-separated worker list (the "dcsim sweep
-// -remote" flag format), trimming whitespace and dropping empty entries —
-// the one parsing rule for flag and config strings, ahead of NewExecutor's
-// per-URL normalization.
-func SplitURLList(s string) []string {
-	var urls []string
-	for _, u := range strings.Split(s, ",") {
-		if u = strings.TrimSpace(u); u != "" {
-			urls = append(urls, u)
-		}
+// NewExecutor builds an executor over a static list of worker base URLs
+// (scheme optional; "host:port" means http). The workers never expire; one
+// that fails at the transport level or drains is retired for the rest of
+// the executor's life. At least one worker URL or local slot is required,
+// and a malformed or duplicate URL is rejected.
+func NewExecutor(workerURLs []string, opts ...Option) (*Executor, error) {
+	set, err := newStaticSet(workerURLs)
+	if err != nil {
+		return nil, err
 	}
-	return urls
+	e, err := NewSetExecutor(set, opts...)
+	if err != nil {
+		return nil, err
+	}
+	if len(set.workers) == 0 && e.cfg.localSlots == 0 {
+		return nil, fmt.Errorf("remote: no workers and no local slots")
+	}
+	for _, w := range set.workers {
+		e.urls = append(e.urls, w.URL)
+	}
+	return e, nil
 }
 
-// NewExecutor builds an executor over the given worker base URLs (scheme
-// optional; "host:port" means http). At least one worker URL or local slot
-// is required.
-func NewExecutor(workerURLs []string, opts ...Option) (*Executor, error) {
+// NewSetExecutor builds an executor over any WorkerSet — typically a
+// sweep/fleet Registry, whose members join and leave as the sweep runs.
+// The set may be empty at construction: dispatch waits for capacity, and
+// only an ExecuteCell that finds no routable worker (and no local slots)
+// fails with ErrAllWorkersDown.
+func NewSetExecutor(set WorkerSet, opts ...Option) (*Executor, error) {
+	if set == nil {
+		return nil, fmt.Errorf("remote: nil worker set")
+	}
 	cfg := config{inFlight: 4, client: &http.Client{}}
 	for _, o := range opts {
 		o(&cfg)
@@ -124,66 +113,47 @@ func NewExecutor(workerURLs []string, opts ...Option) (*Executor, error) {
 	if cfg.localSlots < 0 {
 		return nil, fmt.Errorf("remote: local slots must be non-negative, got %d", cfg.localSlots)
 	}
-	if len(workerURLs) == 0 && cfg.localSlots == 0 {
-		return nil, fmt.Errorf("remote: no workers and no local slots")
-	}
-	e := &Executor{cfg: cfg, deadGen: make(chan struct{})}
-	total := 0
-	for _, raw := range workerURLs {
-		u := strings.TrimRight(strings.TrimSpace(raw), "/")
-		if u == "" {
-			return nil, fmt.Errorf("remote: empty worker URL")
-		}
-		if !strings.Contains(u, "://") {
-			u = "http://" + u
-		}
-		e.backends = append(e.backends, &backend{url: u, slots: cfg.inFlight})
-		total += cfg.inFlight
-	}
+	e := &Executor{set: set, cfg: cfg}
 	if cfg.localSlots > 0 {
-		e.backends = append(e.backends, &backend{local: &sweep.LocalExecutor{}, slots: cfg.localSlots})
-		total += cfg.localSlots
-	}
-	e.alive = len(e.backends)
-	e.tokens = make(chan *backend, total)
-	for _, b := range e.backends {
-		for i := 0; i < b.slots; i++ {
-			e.tokens <- b
+		e.localTokens = make(chan struct{}, cfg.localSlots)
+		for i := 0; i < cfg.localSlots; i++ {
+			e.localTokens <- struct{}{}
 		}
 	}
 	return e, nil
 }
 
-// Capacity is the executor's total number of concurrent execution slots
-// (workers × in-flight bound + local slots) — a natural Workers value for
-// sweep.Options.
-func (e *Executor) Capacity() int { return cap(e.tokens) }
+// Capacity is the executor's number of concurrent execution slots at
+// construction (static workers × in-flight bound + local slots) — a
+// natural Workers value for sweep.Options. An elastic set's capacity
+// changes as members come and go; Capacity counts only the local slots
+// there.
+func (e *Executor) Capacity() int { return len(e.urls)*e.cfg.inFlight + e.cfg.localSlots }
 
-// WorkerURLs lists the configured worker base URLs (normalized).
-func (e *Executor) WorkerURLs() []string {
-	var urls []string
-	for _, b := range e.backends {
-		if b.local == nil {
-			urls = append(urls, b.url)
-		}
-	}
-	return urls
-}
+// WorkerURLs lists the static worker base URLs (normalized); nil for an
+// executor over an elastic set.
+func (e *Executor) WorkerURLs() []string { return slices.Clone(e.urls) }
 
-// ExecuteCell implements sweep.Executor: run one cell-replica on some live
-// backend, failing over to the survivors when a worker dies mid-cell. A
-// failed dispatch re-executes after a bounded exponential backoff with
-// deterministic jitter (see RetryPolicy); a worker answering 503 busy is
-// retried after its Retry-After instead of being marked dead, and a
-// draining worker is retired from the rotation without counting as a
-// death. ExecuteCell returns a typed *Error for deterministic worker-side
-// failures and an error wrapping ErrAllWorkersDown when no backend is
-// left.
+// ExecuteCell implements sweep.Executor: run one cell-replica on some
+// routable worker or local slot, failing over to the survivors when a
+// worker dies mid-cell. A transport failure re-executes after a bounded
+// exponential backoff with deterministic jitter (see model.RetryPolicy); a
+// worker answering 503 busy is retried after its Retry-After instead of
+// being dropped; a draining worker is routed around without counting as a
+// death; a worker its set dropped mid-run has the run stolen back and
+// re-dispatched at once. ExecuteCell returns a typed *Error for
+// deterministic worker-side failures and an error wrapping
+// ErrAllWorkersDown when no worker is left.
 func (e *Executor) ExecuteCell(ctx context.Context, run sweep.CellRun) (*dcsim.Result, error) {
 	var lastErr error
 	attempt := 0
+	backoff := func(floor time.Duration) error {
+		d := max(e.cfg.retry.Delay(attempt, fmt.Sprintf("cell %d replica %d", run.Cell.Index, run.Replica)), floor)
+		attempt++
+		return model.Sleep(ctx, d)
+	}
 	for {
-		b, err := e.acquire(ctx)
+		w, err := e.acquire(ctx)
 		if err != nil {
 			if lastErr != nil {
 				return nil, fmt.Errorf("%w (cell %d replica %d; last worker failure: %v)",
@@ -191,137 +161,108 @@ func (e *Executor) ExecuteCell(ctx context.Context, run sweep.CellRun) (*dcsim.R
 			}
 			return nil, err
 		}
-		res, err := e.runOn(ctx, b, run)
+		if w == nil {
+			// A local slot: it cannot die, so any failure is final.
+			res, err := e.local.ExecuteCell(ctx, run)
+			e.localTokens <- struct{}{}
+			return res, err
+		}
+		res, err := e.dispatch(ctx, w, run)
+		e.set.ReleaseSlot(w.ID)
 		if err == nil {
-			e.release(b)
 			return res, nil
 		}
 		if ctx.Err() != nil {
-			// Cancellation, not a worker failure: the backend stays alive.
-			e.release(b)
+			// Cancellation, not a worker failure.
 			return nil, err
 		}
 		var te *TransportError
 		var we *Error
 		switch {
-		case errors.As(err, &te):
-			// Transport-level failure: the worker is gone (or unusable).
-			// Mark it dead — its tokens evaporate — and re-execute on a
-			// survivor after the backoff.
-			e.markDead(b)
-			lastErr = fmt.Errorf("worker %s: %w", b.name(), te.Err)
-			if err := sleepCtx(ctx, e.cfg.retry.Delay(run.Cell.Index, run.Replica, attempt)); err != nil {
-				return nil, err
-			}
-			attempt++
 		case errors.As(err, &we) && we.Code == CodeDraining:
-			// The worker is winding down, not lost: retire it from the
-			// rotation — steal nothing new to it — and reroute at once;
-			// the survivors' capacity is intact, so no backoff applies.
-			e.markDead(b)
-			lastErr = fmt.Errorf("worker %s: draining", b.name())
+			// Winding down, not lost: route around it and re-dispatch at
+			// once; the survivors' capacity is intact, so no backoff.
+			e.set.MarkDraining(w.ID)
+			lastErr = fmt.Errorf("worker %s: draining", w.URL)
 		case errors.As(err, &we) && we.Code == CodeBusy:
-			// Merely loaded, not dead: keep the worker alive and retry
-			// after its own Retry-After hint or our backoff, whichever is
-			// longer.
-			e.release(b)
-			d := e.cfg.retry.Delay(run.Cell.Index, run.Replica, attempt)
-			if we.RetryAfter > d {
-				d = we.RetryAfter
-			}
-			if err := sleepCtx(ctx, d); err != nil {
+			// Loaded, not dead: wait out its Retry-After hint or our
+			// backoff, whichever is longer, and try again.
+			if err := backoff(we.RetryAfter); err != nil {
 				return nil, err
 			}
-			attempt++
-		default:
+		case errors.As(err, &we):
 			// A deterministic worker-side failure: retrying elsewhere
 			// would fail identically.
-			e.release(b)
+			return nil, err
+		case w.Lost != nil && w.Lost.Err() != nil:
+			// The set dropped the worker mid-dispatch and the request
+			// aborted: steal the run back and re-dispatch at once.
+			e.set.ReportFailure(w.ID, err)
+			lastErr = fmt.Errorf("worker %s lost mid-run: %v", w.URL, err)
+		case errors.As(err, &te):
+			// Transport-level failure: the worker is gone or unusable.
+			// Drop it and re-execute on a survivor after the backoff.
+			e.set.ReportFailure(w.ID, te.Err)
+			lastErr = fmt.Errorf("worker %s: %w", w.URL, te.Err)
+			if err := backoff(0); err != nil {
+				return nil, err
+			}
+		default:
+			// Neither typed nor transport: a client-side failure (the run
+			// failing to marshal) no other worker would fare better with.
 			return nil, err
 		}
 	}
 }
 
-// sleepCtx waits d or until ctx ends, returning ctx's error in the latter
-// case.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return ctx.Err()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-// acquire pulls a free slot on a live backend, blocking until one frees
-// up, the context ends, or every backend is dead.
-func (e *Executor) acquire(ctx context.Context) (*backend, error) {
+// acquire claims an execution slot: a dispatch slot on some routable
+// worker, or a local token (nil worker). It blocks while every worker is
+// merely busy, and fails with ErrAllWorkersDown only when no routable
+// worker exists and no local slots are configured.
+func (e *Executor) acquire(ctx context.Context) (*Worker, error) {
 	for {
-		e.mu.Lock()
-		alive, gen := e.alive, e.deadGen
-		e.mu.Unlock()
-		if alive == 0 {
+		// Fetch the change channel before inspecting the set: a change
+		// landing between the check and the wait closes this channel, so
+		// the wakeup cannot be missed.
+		ch := e.set.Changed()
+		w, routable := e.set.AcquireSlot(e.cfg.inFlight)
+		if w != nil {
+			return w, nil
+		}
+		if routable == 0 && e.localTokens == nil {
 			return nil, ErrAllWorkersDown
 		}
+		// A nil localTokens never delivers, leaving the set to wake us.
 		select {
-		case b := <-e.tokens:
-			if b.isDead() {
-				continue // drop a dead backend's token
-			}
-			return b, nil
-		case <-gen:
-			// A backend died while we waited; re-check liveness.
+		case <-e.localTokens:
+			return nil, nil
+		case <-ch:
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
 	}
 }
 
-// release returns a slot for a still-live backend.
-func (e *Executor) release(b *backend) {
-	if b.isDead() {
-		return
+// dispatch executes the cell-replica on one worker. When the worker's set
+// can drop it, the request runs under a context merged with w.Lost, so a
+// worker expiring mid-dispatch — even a blackholed one whose TCP
+// connection would otherwise hang — aborts the request promptly.
+func (e *Executor) dispatch(ctx context.Context, w *Worker, run sweep.CellRun) (*dcsim.Result, error) {
+	if w.Lost != nil {
+		rctx, cancel := context.WithCancel(ctx)
+		defer cancel()
+		stop := context.AfterFunc(w.Lost, cancel)
+		defer stop()
+		ctx = rctx
 	}
-	e.tokens <- b
-}
-
-// markDead retires a backend: its in-flight token is not returned and its
-// queued tokens are dropped on pull. Waiters blocked in acquire are woken
-// so an all-dead executor fails fast instead of hanging.
-func (e *Executor) markDead(b *backend) {
-	b.mu.Lock()
-	wasDead := b.dead
-	b.dead = true
-	b.mu.Unlock()
-	if wasDead {
-		return
-	}
-	e.mu.Lock()
-	e.alive--
-	close(e.deadGen)
-	e.deadGen = make(chan struct{})
-	e.mu.Unlock()
-}
-
-// runOn executes the cell-replica on one backend.
-func (e *Executor) runOn(ctx context.Context, b *backend, run sweep.CellRun) (*dcsim.Result, error) {
-	if b.local != nil {
-		return b.local.ExecuteCell(ctx, run)
-	}
-	return RunCell(ctx, e.cfg.client, b.url, run)
+	return RunCell(ctx, e.cfg.client, w.URL, run)
 }
 
 // RunCell executes one cell-replica on the worker at baseURL — the POST
-// /run leg of the worker protocol, shared by the static Executor here and
-// the fleet executor in sweep/fleet. Failures classify three ways: a
-// *TransportError (connection-level failure, 5xx, or a non-protocol
-// response — the worker is gone or unusable, re-execute elsewhere), a
-// typed *Error with CodeBusy or CodeDraining (a healthy worker declining —
+// /run leg of the worker protocol the Executor dispatches through.
+// Failures classify three ways: a *TransportError (connection-level
+// failure, 5xx, or a non-protocol response — the worker is gone or
+// unusable, re-execute elsewhere), a typed *Error with CodeBusy or CodeDraining (a healthy worker declining —
 // wait or reroute, carrying any Retry-After hint), or any other typed
 // *Error (deterministic, never retried).
 func RunCell(ctx context.Context, client *http.Client, baseURL string, run sweep.CellRun) (*dcsim.Result, error) {
@@ -424,9 +365,9 @@ func FetchCapabilities(ctx context.Context, client *http.Client, baseURL string)
 	return caps, err
 }
 
-// Preflight health-checks every configured worker — concurrently, each
-// under its own timeout, so one blackholed worker costs one timeout, not
-// one per worker — and returns an error naming the unreachable ones. It
+// Preflight health-checks every static worker — concurrently, each under
+// its own timeout, so one blackholed worker costs one timeout, not one per
+// worker — and returns an error naming the unreachable ones. It
 // does not mark anything dead: a worker that is merely slow to start may
 // well serve the sweep.
 func (e *Executor) Preflight(ctx context.Context) error {
@@ -495,28 +436,25 @@ func (e *Executor) PreflightGrid(ctx context.Context, g sweep.Grid) error {
 	return nil
 }
 
-// eachWorker runs check against every HTTP worker concurrently, each call
-// under its own 5s timeout, and returns the failures in backend order.
+// eachWorker runs check against every static worker concurrently, each
+// call under its own 5s timeout, and returns the failures in list order.
 func (e *Executor) eachWorker(ctx context.Context, check func(ctx context.Context, url string) error) []string {
-	errs := make([]error, len(e.backends))
+	errs := make([]error, len(e.urls))
 	var wg sync.WaitGroup
-	for i, b := range e.backends {
-		if b.local != nil {
-			continue
-		}
+	for i, url := range e.urls {
 		wg.Add(1)
-		go func(i int, url string) {
+		go func() {
 			defer wg.Done()
 			wctx, cancel := context.WithTimeout(ctx, 5*time.Second)
 			defer cancel()
 			errs[i] = check(wctx, url)
-		}(i, b.url)
+		}()
 	}
 	wg.Wait()
 	var bad []string
 	for i, err := range errs {
 		if err != nil {
-			bad = append(bad, fmt.Sprintf("%s (%v)", e.backends[i].url, err))
+			bad = append(bad, fmt.Sprintf("%s (%v)", e.urls[i], err))
 		}
 	}
 	return bad

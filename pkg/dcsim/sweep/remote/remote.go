@@ -1,14 +1,18 @@
 // Package remote distributes sweep execution over HTTP. It implements the
-// sweep.Executor seam twice over:
+// sweep.Executor seam on both ends of the wire:
 //
 //   - Server is the worker side: an http.Handler exposing health,
 //     capability listing (the worker's registry contents), and cell
 //     execution with request-context cancellation. `dcsim worker -listen`
 //     serves it.
-//   - Executor is the client side: it fans cell-replicas out to a static
-//     set of worker URLs with a bounded number of in-flight requests per
-//     worker, retries a failed cell-replica on the surviving workers, and
-//     feeds results back into sweep.Run's deterministic collector.
+//   - Executor is the client side, and the repository's one cell
+//     dispatcher: it fans cell-replicas out over a WorkerSet with a
+//     bounded number of in-flight requests per worker, optionally mixed
+//     with in-process slots, retries a failed cell-replica on the
+//     surviving workers, and feeds results back into sweep.Run's
+//     deterministic collector. NewExecutor builds it over a static list of
+//     worker URLs; NewSetExecutor over any other WorkerSet, such as the
+//     elastic membership of sweep/fleet's Registry.
 //
 // The wire unit is sweep.CellRun out and dcsim.Result back, both plain
 // JSON. Runs are deterministic and floats survive JSON round-trips bit
@@ -18,13 +22,15 @@
 // exactly.
 //
 // Failure semantics: transport-level failures (connection refused, a
-// worker dying mid-cell, 5xx) mark the worker dead and the cell-replica is
-// retried on another worker; application-level failures arrive as a typed
-// *Error and abort the sweep, because they are deterministic — a scenario
-// naming a component the worker's registry lacks (CodeUnknownComponent)
-// fails the same way everywhere. When every worker is dead, ExecuteCell
-// returns ErrAllWorkersDown and sweep.Run still hands back the cells that
-// completed.
+// worker dying mid-cell, 5xx) remove the worker from its set and the
+// cell-replica is retried on another worker after a model.RetryPolicy
+// backoff; a 503 busy is retried after its Retry-After; a 503 draining
+// reroutes without counting a death. Application-level failures arrive as
+// a typed *Error and abort the sweep, because they are deterministic — a
+// scenario naming a component the worker's registry lacks
+// (CodeUnknownComponent) fails the same way everywhere. When no worker is
+// left (and no local slots exist), ExecuteCell returns ErrAllWorkersDown
+// and sweep.Run still hands back the cells that completed.
 package remote
 
 import (
@@ -88,9 +94,11 @@ func (e *Error) Error() string {
 	return fmt.Sprintf("remote: %s: %s", e.Code, e.Message)
 }
 
-// ErrAllWorkersDown is returned (wrapped) by Executor.ExecuteCell when no
-// worker is left alive to run a cell-replica. sweep.Run surfaces it while
-// preserving the cells that had already completed.
+// ErrAllWorkersDown is returned (wrapped) by Executor.ExecuteCell when its
+// worker set has no routable worker left — every static worker died or
+// drained, or an elastic fleet is empty — and there are no local slots to
+// degrade to. sweep.Run surfaces it while preserving the cells that had
+// already completed.
 var ErrAllWorkersDown = errors.New("remote: all workers down")
 
 // TransportError marks a transport-level failure talking to a worker:
@@ -105,73 +113,6 @@ func (e *TransportError) Error() string { return e.Err.Error() }
 
 // Unwrap exposes the underlying failure.
 func (e *TransportError) Unwrap() error { return e.Err }
-
-// RetryPolicy shapes the delay between a failed dispatch and its
-// re-execution: bounded exponential backoff with deterministic jitter.
-// Delay is a pure function of (Seed, cell, replica, attempt), so retry
-// timing is reproducible run to run — tests can pin it — while distinct
-// cell-replicas still spread out instead of thundering back in lockstep.
-type RetryPolicy struct {
-	// Base is the delay scale of the first retry; attempt k scales it by
-	// 2^k. 0 selects 50ms.
-	Base time.Duration
-	// Max caps the backoff however many attempts accumulate. 0 selects 2s.
-	Max time.Duration
-	// Seed keys the jitter hash. The zero seed is valid (and the default):
-	// determinism comes from the seed being fixed, not from its value.
-	Seed int64
-}
-
-// withDefaults resolves the zero-value policy.
-func (p RetryPolicy) withDefaults() RetryPolicy {
-	if p.Base <= 0 {
-		p.Base = 50 * time.Millisecond
-	}
-	if p.Max <= 0 {
-		p.Max = 2 * time.Second
-	}
-	return p
-}
-
-// Delay returns the backoff before retry number attempt (0-based) of the
-// given cell-replica: half the capped exponential step plus a jittered
-// half, the jitter hashed from (Seed, cell, replica, attempt).
-func (p RetryPolicy) Delay(cell, replica, attempt int) time.Duration {
-	p = p.withDefaults()
-	if attempt < 0 {
-		attempt = 0
-	}
-	d := p.Base
-	for i := 0; i < attempt && d < p.Max; i++ {
-		d *= 2
-	}
-	if d > p.Max {
-		d = p.Max
-	}
-	// FNV-1a over the identifying tuple: cheap, stateless, and stable.
-	h := fnv1a(uint64(p.Seed), uint64(cell), uint64(replica), uint64(attempt))
-	half := int64(d / 2)
-	if half <= 0 {
-		return d
-	}
-	return time.Duration(half + int64(h%uint64(half)))
-}
-
-// fnv1a hashes a tuple of words with 64-bit FNV-1a.
-func fnv1a(words ...uint64) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	for _, w := range words {
-		for i := 0; i < 8; i++ {
-			h ^= (w >> (8 * i)) & 0xff
-			h *= prime
-		}
-	}
-	return h
-}
 
 // Capabilities is a worker's registry listing — the component names its
 // process can resolve, including the workload kinds it can source traces

@@ -494,8 +494,23 @@ func TestNewExecutorRejects(t *testing.T) {
 	if _, err := NewExecutor([]string{"http://x"}, WithInFlight(0)); err == nil {
 		t.Fatal("zero in-flight must fail")
 	}
-	if _, err := NewExecutor([]string{"  "}); err == nil {
-		t.Fatal("blank URL must fail")
+	if _, err := NewExecutor(nil, WithLocalSlots(-1)); err == nil {
+		t.Fatal("negative local slots must fail")
+	}
+	if _, err := NewSetExecutor(nil); err == nil {
+		t.Fatal("nil worker set must fail")
+	}
+	for _, urls := range [][]string{
+		{"  "},        // blank
+		{"://"},       // no scheme, no host
+		{"http://"},   // no host
+		{"ftp://h:1"}, // not http(s)
+		// One worker listed twice would get twice the in-flight bound.
+		{"h:8070", "http://h:8070/"},
+	} {
+		if _, err := NewExecutor(urls); err == nil {
+			t.Fatalf("NewExecutor(%q) must fail", urls)
+		}
 	}
 	// Scheme-less URLs normalize to http and trailing slashes drop.
 	exec, err := NewExecutor([]string{"host1:8070", "http://host2:8070/"})
@@ -512,7 +527,7 @@ func TestNewExecutorRejects(t *testing.T) {
 }
 
 // Guard against goroutine leaks in the waiter-wakeup path: concurrency-
-// heavy acquire/markDead interleavings must not deadlock. Run a sweep
+// heavy acquire/ReportFailure interleavings must not deadlock. Run a sweep
 // whose only worker dies immediately at high engine parallelism.
 func TestAllDownDoesNotDeadlockManyWaiters(t *testing.T) {
 	closed := httptest.NewServer(&Server{})

@@ -11,57 +11,9 @@ import (
 	"time"
 
 	"repro/pkg/dcsim"
+	"repro/pkg/dcsim/model"
 	"repro/pkg/dcsim/sweep"
 )
-
-// TestRetryPolicyDeterministicAndBounded: Delay is a pure function of
-// (Seed, cell, replica, attempt), grows exponentially, caps at Max, and
-// distinct cell-replicas spread out instead of retrying in lockstep.
-func TestRetryPolicyDeterministicAndBounded(t *testing.T) {
-	p := RetryPolicy{Base: 50 * time.Millisecond, Max: 2 * time.Second, Seed: 7}
-	for cell := 0; cell < 3; cell++ {
-		for replica := 0; replica < 2; replica++ {
-			for attempt := 0; attempt < 10; attempt++ {
-				d := p.Delay(cell, replica, attempt)
-				if d != p.Delay(cell, replica, attempt) {
-					t.Fatalf("Delay(%d,%d,%d) not deterministic", cell, replica, attempt)
-				}
-				// The capped exponential step for this attempt bounds the
-				// jittered delay from both sides: [step/2, step].
-				step := p.Base << attempt
-				if step > p.Max || step <= 0 {
-					step = p.Max
-				}
-				if d < step/2 || d > step {
-					t.Fatalf("Delay(%d,%d,%d) = %v outside [%v, %v]", cell, replica, attempt, d, step/2, step)
-				}
-			}
-		}
-	}
-	// Jitter separates identical attempts of different runs.
-	if p.Delay(0, 0, 3) == p.Delay(1, 0, 3) && p.Delay(0, 0, 3) == p.Delay(2, 0, 3) {
-		t.Fatal("three distinct cells share one retry delay: jitter is not keyed on the run")
-	}
-	// Reseeding moves at least some delays; a fixed seed reproduces them.
-	q := RetryPolicy{Base: p.Base, Max: p.Max, Seed: 8}
-	same := 0
-	for cell := 0; cell < 8; cell++ {
-		if p.Delay(cell, 0, 2) == q.Delay(cell, 0, 2) {
-			same++
-		}
-	}
-	if same == 8 {
-		t.Fatal("reseeding the policy never moved a delay")
-	}
-	// The zero value is usable and stays within the documented defaults.
-	var zero RetryPolicy
-	if d := zero.Delay(0, 0, 0); d < 25*time.Millisecond || d > 50*time.Millisecond {
-		t.Fatalf("zero-value first delay = %v, want within [25ms, 50ms]", d)
-	}
-	if d := zero.Delay(0, 0, 20); d > 2*time.Second {
-		t.Fatalf("zero-value delay after 20 attempts = %v, exceeds the 2s default cap", d)
-	}
-}
 
 // TestBusyWorkerRetriedNotBuried: a worker answering 503 busy stays in
 // the rotation — the run retries after the backoff instead of the worker
@@ -88,7 +40,7 @@ func TestBusyWorkerRetriedNotBuried(t *testing.T) {
 		})
 	})
 	exec, err := NewExecutor(urls, WithInFlight(2),
-		WithRetry(RetryPolicy{Base: time.Millisecond, Max: 4 * time.Millisecond}))
+		WithRetry(model.RetryPolicy{Base: time.Millisecond, Max: 4 * time.Millisecond}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +189,7 @@ func TestDrainingWorkerRetiredWithoutDeath(t *testing.T) {
 	healthySrv := httptest.NewServer(&Server{})
 	t.Cleanup(healthySrv.Close)
 	exec, err := NewExecutor([]string{drainSrv.URL, healthySrv.URL}, WithInFlight(2),
-		WithRetry(RetryPolicy{Base: time.Millisecond, Max: 4 * time.Millisecond}))
+		WithRetry(model.RetryPolicy{Base: time.Millisecond, Max: 4 * time.Millisecond}))
 	if err != nil {
 		t.Fatal(err)
 	}
