@@ -6,7 +6,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1.1
 
 .PHONY: ci lint fmt vet staticcheck staticcheck-version build test race \
-	bench bench-sweep bench-alloc bench-compare leakcheck smoke-service \
+	bench bench-alloc bench-compare leakcheck smoke-service \
 	smoke-fleet smoke-objstore perfbench-check
 
 ci: lint build test race perfbench-check smoke-service smoke-fleet smoke-objstore bench-compare
@@ -93,24 +93,17 @@ smoke-objstore:
 # bench-alloc records the allocator scaling trajectory (exact Fig.-2
 # semantics up to 2k VMs, blocked evaluation at 1k/2k/10k) plus the
 # per-phase attribution rows (matrix-update / fill-scoring /
-# placement-total, serial vs parallel) in BENCH_alloc.json. Set
+# placement-total) in BENCH_alloc.json. Set
 # ALLOC_CPUPROFILE=<path> to also capture a 2k-VM CPU profile.
 bench-alloc:
 	./scripts/bench_alloc.sh
 
-# bench-sweep is the perf-trajectory smoke: a tiny grid through the sweep
-# engine, timing recorded in BENCH_sweep.json (reports go to a scratch
-# dir). The script runs under set -eu, so a failing `go run` fails the
-# target loudly instead of being masked by the cleanup chain.
-bench-sweep:
-	./scripts/bench_sweep.sh
-
-# bench-compare fails when the freshly recorded BENCH_sweep.json or
-# BENCH_alloc.json regresses more than BENCH_REGRESS_PCT percent (default
-# 100) against the committed baselines, printing the deltas either way.
-# Allocator rows are gated per phase (scale / matrix / fill / total), so
-# one phase cannot silently regress behind another's improvement. Depends
-# on both recorders so the comparison always reads fresh records, even
-# under `make -j`.
-bench-compare: bench-sweep bench-alloc
+# bench-compare fails when the freshly recorded BENCH_alloc.json regresses
+# more than BENCH_REGRESS_PCT percent (default 100) against the committed
+# baseline, printing the deltas either way. Rows are gated per phase
+# (scale / matrix / fill / total), so one phase cannot silently regress
+# behind another's improvement. Depends on the recorder so the comparison
+# always reads a fresh record, even under `make -j`. End-to-end sweep wall
+# time is measured by perfbench (the sweep-obj workload).
+bench-compare: bench-alloc
 	./scripts/bench_compare.sh

@@ -8,7 +8,6 @@ package repro
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -250,93 +249,72 @@ func BenchmarkAllocatorScale(b *testing.B) {
 	}
 }
 
-// BenchmarkAllocPhases attributes hot-path time to its phases, each in a
-// serial and a parallel (GOMAXPROCS workers) series so BENCH_alloc.json
-// records per-phase baselines and the parallel speedup on multicore
-// runners:
+// BenchmarkAllocPhases attributes hot-path time to its phases so
+// BENCH_alloc.json records per-phase baselines. Rows keep the "serial"
+// path segment of the recorded keys:
 //
 //   - matrix: one streaming CostMatrix.Add — the n(n−1)/2 pair-monitor
-//     updates of the UPDATE phase, sharded when parallel.
+//     updates of the UPDATE phase.
 //   - fill: one full exact placement over O(1) synthetic pair costs —
 //     isolates candidate scoring and the running-sum extensions.
 //   - total: one matrix-fed exact placement — the simulator's
 //     per-period ALLOCATE hot path end to end (scoring + monitor reads).
-//
-// Placements are byte-identical across the serial/parallel series (pinned
-// by core's equivalence tests); only the wall clock may differ.
 func BenchmarkAllocPhases(b *testing.B) {
 	const n = 2000
-	series := []struct {
-		name    string
-		workers int
-	}{
-		{"serial", 0},
-		{"parallel", runtime.GOMAXPROCS(0)},
-	}
-	for _, s := range series {
-		b.Run(fmt.Sprintf("matrix/%s/vms=%d", s.name, n), func(b *testing.B) {
-			m := core.NewCostMatrix(n, 1)
-			m.SetParallel(s.workers)
-			rng := rand.New(rand.NewSource(1))
-			sample := make([]float64, n)
+	b.Run(fmt.Sprintf("matrix/serial/vms=%d", n), func(b *testing.B) {
+		m := core.NewCostMatrix(n, 1)
+		rng := rand.New(rand.NewSource(1))
+		sample := make([]float64, n)
+		for i := range sample {
+			sample[i] = rng.Float64() * 4
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			m.Add(sample)
+		}
+	})
+	b.Run(fmt.Sprintf("fill/serial/vms=%d", n), func(b *testing.B) {
+		rng := rand.New(rand.NewSource(7))
+		reqs := make([]place.Request, n)
+		for i := range reqs {
+			reqs[i] = place.Request{Ref: 0.5 + 3*rng.Float64()}
+		}
+		cfg := core.DefaultConfig()
+		cfg.Block = 0
+		a := &core.Allocator{Config: cfg, CostFn: core.SyntheticPairCost}
+		spec := server.XeonE5410()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := a.Place(reqs, spec, n); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run(fmt.Sprintf("total/serial/vms=%d", n), func(b *testing.B) {
+		rng := rand.New(rand.NewSource(7))
+		reqs := make([]place.Request, n)
+		for i := range reqs {
+			reqs[i] = place.Request{Ref: 0.5 + 3*rng.Float64()}
+		}
+		m := core.NewCostMatrix(n, 1)
+		sample := make([]float64, n)
+		for k := 0; k < 50; k++ {
 			for i := range sample {
 				sample[i] = rng.Float64() * 4
 			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m.Add(sample)
+			m.Add(sample)
+		}
+		cfg := core.DefaultConfig()
+		cfg.Block = 0
+		a := &core.Allocator{Config: cfg, Matrix: m}
+		spec := server.XeonE5410()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := a.Place(reqs, spec, n); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
-	for _, s := range series {
-		b.Run(fmt.Sprintf("fill/%s/vms=%d", s.name, n), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(7))
-			reqs := make([]place.Request, n)
-			for i := range reqs {
-				reqs[i] = place.Request{Ref: 0.5 + 3*rng.Float64()}
-			}
-			cfg := core.DefaultConfig()
-			cfg.Block = 0
-			cfg.Parallel = s.workers
-			a := &core.Allocator{Config: cfg, CostFn: core.SyntheticPairCost}
-			spec := server.XeonE5410()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := a.Place(reqs, spec, n); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-	for _, s := range series {
-		b.Run(fmt.Sprintf("total/%s/vms=%d", s.name, n), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(7))
-			reqs := make([]place.Request, n)
-			for i := range reqs {
-				reqs[i] = place.Request{Ref: 0.5 + 3*rng.Float64()}
-			}
-			m := core.NewCostMatrix(n, 1)
-			m.SetParallel(s.workers)
-			sample := make([]float64, n)
-			for k := 0; k < 50; k++ {
-				for i := range sample {
-					sample[i] = rng.Float64() * 4
-				}
-				m.Add(sample)
-			}
-			cfg := core.DefaultConfig()
-			cfg.Block = 0
-			cfg.Parallel = s.workers
-			a := &core.Allocator{Config: cfg, Matrix: m}
-			spec := server.XeonE5410()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := a.Place(reqs, spec, n); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkBaselinePlacements measures the baselines at the paper's scale.

@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"sort"
-	"sync/atomic"
 
 	"repro/pkg/dcsim/model"
 )
@@ -37,16 +36,6 @@ type Config struct {
 	// every unallocated VM, the paper's exact Fig.-2 semantics; Block >= n
 	// is identical to exact. DefaultConfig sets DefaultBlock.
 	Block int
-	// Parallel, when > 1, fans the per-admission candidate scoring, the
-	// affinity seeding, and the post-admission running-sum extensions out
-	// over that many workers (chunked over the candidate set, gated so
-	// small fills stay serial). Placements are byte-identical to serial:
-	// every candidate's score is computed by the same expression and ties
-	// break to the lowest candidate index in both modes. 0 or 1 is serial.
-	// With Parallel > 1 the pairwise cost source must be safe for
-	// concurrent calls (the streaming CostMatrix and the batch fallback
-	// both are; a custom CostFn must be).
-	Parallel int
 }
 
 // DefaultConfig matches the paper's operating point — peak reference, a
@@ -69,8 +58,7 @@ func DefaultConfig() Config {
 //
 // An Allocator reuses per-placement scratch across Place calls, so a single
 // instance must not run concurrent placements; concurrent callers need one
-// Allocator each. (Config.Parallel is internal fan-out within one Place
-// call and does not change this contract.)
+// Allocator each.
 type Allocator struct {
 	Config
 	Matrix model.CostSource
@@ -93,10 +81,6 @@ type placeScratch struct {
 	cand      []int
 	affNum    []float64
 	allocated []bool
-	// chunkBest/chunkScore are the per-chunk argmax slots of the parallel
-	// scoring reduction.
-	chunkBest  []int
-	chunkScore []float64
 }
 
 // NewAllocator returns an allocator with the given config and no matrix.
@@ -104,11 +88,6 @@ func NewAllocator(cfg Config) *Allocator { return &Allocator{Config: cfg} }
 
 // Name implements model.Policy.
 func (a *Allocator) Name() string { return "CorrAware" }
-
-// unsetCost marks an uncomputed entry in the batch fallback's flat cost
-// cache. It is a quiet-NaN bit pattern no arithmetic in CostOf produces,
-// so it cannot collide with a real cached cost.
-const unsetCost = 0x7FF8_0000_DEAD_C0DE
 
 // costFunc picks the pairwise cost source for this request set.
 func (a *Allocator) costFunc(reqs []model.Request) PairCostFunc {
@@ -125,14 +104,13 @@ func (a *Allocator) costFunc(reqs []model.Request) PairCostFunc {
 	// Batch fallback: memoized pairwise costs over the request windows in
 	// a flat upper-triangle slice (same indexing as CostMatrix.pairIndex).
 	// A map[[2]int]float64 here showed up in exact-mode profiles as pure
-	// hash overhead; the flat slice is one multiply away from the entry
-	// and — with atomic slot access — safe to share across parallel
-	// scorers: racing scorers compute the identical value (CostOf is a
-	// pure function of the windows), so whichever store lands is right.
+	// hash overhead; the flat slice is one multiply away from the entry.
 	n := len(reqs)
-	cache := make([]uint64, n*(n-1)/2)
+	// NaN marks an uncomputed entry (a NaN cost, possible only from NaN
+	// demand, is recomputed on every read instead of memoized).
+	cache := make([]float64, n*(n-1)/2)
 	for i := range cache {
-		cache[i] = unsetCost
+		cache[i] = math.NaN()
 	}
 	return func(i, j int) float64 {
 		if i == j {
@@ -142,14 +120,14 @@ func (a *Allocator) costFunc(reqs []model.Request) PairCostFunc {
 			i, j = j, i
 		}
 		k := i*n - i*(i+1)/2 + (j - i - 1)
-		if bits := atomic.LoadUint64(&cache[k]); bits != unsetCost {
-			return math.Float64frombits(bits)
+		if c := cache[k]; !math.IsNaN(c) {
+			return c
 		}
 		c := 1.0
 		if reqs[i].Window != nil && reqs[j].Window != nil {
 			c = CostOf(reqs[i].Window.Samples(), reqs[j].Window.Samples(), pctl)
 		}
-		atomic.StoreUint64(&cache[k], math.Float64bits(c))
+		cache[k] = c
 		return c
 	}
 }
@@ -206,14 +184,6 @@ func growFloats(s []float64, n int) []float64 {
 // its candidates to the Block largest eligible VMs (a binary search into
 // the û-sorted order), which caps the per-admission work at O(Block) and
 // makes the whole placement sub-quadratic.
-//
-// With Config.Parallel > 1, fills above allocParallelMin candidates fan
-// the three per-admission loops — affinity seeding, scoring, running-sum
-// extension — out over contiguous candidate chunks on the shared worker
-// pool. Each candidate's score is the same expression either way, and the
-// argmax reduces per-chunk winners in ascending chunk order under the same
-// strictly-greater comparison as the serial scan, so the admitted VM (and
-// therefore the whole placement) is byte-identical to serial execution.
 func (a *Allocator) Place(reqs []model.Request, spec model.ServerSpec, maxServers int) (*model.Placement, error) {
 	if maxServers < 1 {
 		return nil, model.ErrNoServers
@@ -228,13 +198,6 @@ func (a *Allocator) Place(reqs []model.Request, spec model.ServerSpec, maxServer
 		refs[i] = r.Ref
 	}
 	sc.refs = refs
-
-	workers := a.Parallel
-	if workers < 2 {
-		workers = 1
-	}
-	sc.chunkBest = growInts(sc.chunkBest, workers)
-	sc.chunkScore = growFloats(sc.chunkScore, workers)
 
 	// Eqn 3: start with the estimated minimal active server count.
 	nServers := EstimateServers(refs, spec.Cores)
@@ -291,17 +254,6 @@ func (a *Allocator) Place(reqs []model.Request, spec model.ServerSpec, maxServer
 	// whole inner product.
 	affNum := growFloats(sc.affNum, len(reqs))
 	cand := growInts(sc.cand, len(reqs))[:0]
-	chunkBest, chunkScore := sc.chunkBest, sc.chunkScore
-
-	// pfor fans fn out over [0, n) when the fill is big enough to pay for
-	// the fork/join; otherwise it runs the single serial chunk inline.
-	pfor := func(n int, fn func(chunk, lo, hi int)) {
-		if workers > 1 && n >= allocParallelMin {
-			parallelFor(workers, n, fn)
-		} else if n > 0 {
-			fn(0, 0, n)
-		}
-	}
 
 	th := a.THCost
 	alpha := a.Alpha
@@ -345,84 +297,39 @@ func (a *Allocator) Place(reqs []model.Request, spec model.ServerSpec, maxServer
 			}
 			// Seed the running affinity sums with the server's current
 			// members (non-empty when revisiting a server after a
-			// threshold relaxation round). Per candidate the terms
-			// accumulate in member order regardless of chunking, so the
-			// parallel seed is bit-identical to the serial one.
+			// threshold relaxation round).
 			affDen := 0.0
 			for _, k := range members[s] {
 				affDen += refs[k]
 			}
-			mem := members[s]
-			pfor(len(cand), func(_, clo, chi int) {
-				for i := clo; i < chi; i++ {
-					sum := 0.0
-					v := cand[i]
-					for _, k := range mem {
-						sum += refs[k] * cost(v, k)
-					}
-					affNum[i] = sum
+			for i, v := range cand {
+				sum := 0.0
+				for _, k := range members[s] {
+					sum += refs[k] * cost(v, k)
 				}
-			})
+				affNum[i] = sum
+			}
 			// Fill this server while eligible VMs remain (lines 11-16).
 			for {
 				best, bestScore := -1, math.Inf(-1)
-				if workers > 1 && len(cand) >= allocParallelMin {
-					// Chunked argmax: each chunk keeps its first strictly
-					// greatest score; reducing in ascending chunk order
-					// with the same strict comparison reproduces the
-					// serial lowest-index tie-break exactly.
-					nchunks := workers
-					if nchunks > len(cand) {
-						nchunks = len(cand)
+				for i, v := range cand {
+					if allocated[v] {
+						continue
 					}
-					parallelFor(workers, len(cand), func(c, clo, chi int) {
-						b, bs := -1, math.Inf(-1)
-						for i := clo; i < chi; i++ {
-							v := cand[i]
-							if allocated[v] {
-								continue
-							}
-							if refs[v] > rem[s]+1e-12 {
-								continue
-							}
-							score := math.Inf(1)
-							if affDen > 1e-12 {
-								score = affNum[i] / affDen
-							}
-							if score < th {
-								continue
-							}
-							if score > bs {
-								b, bs = i, score
-							}
-						}
-						chunkBest[c], chunkScore[c] = b, bs
-					})
-					for c := 0; c < nchunks; c++ {
-						if chunkBest[c] >= 0 && chunkScore[c] > bestScore {
-							best, bestScore = chunkBest[c], chunkScore[c]
-						}
+					if refs[v] > rem[s]+1e-12 {
+						continue
 					}
-				} else {
-					for i, v := range cand {
-						if allocated[v] {
-							continue
-						}
-						if refs[v] > rem[s]+1e-12 {
-							continue
-						}
-						// An empty server — or members with no measured
-						// demand — imposes no correlation constraint.
-						score := math.Inf(1)
-						if affDen > 1e-12 {
-							score = affNum[i] / affDen
-						}
-						if score < th {
-							continue
-						}
-						if score > bestScore {
-							best, bestScore = i, score
-						}
+					// An empty server — or members with no measured
+					// demand — imposes no correlation constraint.
+					score := math.Inf(1)
+					if affDen > 1e-12 {
+						score = affNum[i] / affDen
+					}
+					if score < th {
+						continue
+					}
+					if score > bestScore {
+						best, bestScore = i, score
 					}
 				}
 				if best == -1 {
@@ -434,13 +341,11 @@ func (a *Allocator) Place(reqs []model.Request, spec model.ServerSpec, maxServer
 				remove(v)
 				// Extend the running sums by the admitted member.
 				affDen += refs[v]
-				pfor(len(cand), func(_, clo, chi int) {
-					for i := clo; i < chi; i++ {
-						if c := cand[i]; !allocated[c] {
-							affNum[i] += refs[v] * cost(c, v)
-						}
+				for i, c := range cand {
+					if !allocated[c] {
+						affNum[i] += refs[v] * cost(c, v)
 					}
-				})
+				}
 				progress = true
 			}
 		}

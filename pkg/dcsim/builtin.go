@@ -8,7 +8,6 @@ package dcsim
 import (
 	"context"
 	"fmt"
-	"math"
 	"strings"
 	"time"
 
@@ -132,33 +131,23 @@ func init() {
 			cfg.Pctl = b.Scenario.Pctl
 		}
 		cfg.THCost = b.Param("thcost", cfg.THCost)
+		// alpha is Fig. 2's relaxation factor; outside (0, 1) the
+		// allocator would substitute its default.
 		cfg.Alpha = b.Param("alpha", cfg.Alpha)
+		if !(cfg.Alpha > 0 && cfg.Alpha < 1) {
+			return nil, fmt.Errorf("dcsim: param %q must be in (0, 1), got %v", "alpha", cfg.Alpha)
+		}
 		// alloc_block bounds each server fill's candidate set. Blocked
 		// evaluation is the default (core.DefaultBlock, the measured
 		// sweet spot — identical placements at the paper's scale, within
 		// ~1% active servers at 1k-2k VMs, sub-quadratic at 10k+);
 		// alloc_block=0 restores the exact Fig.-2 semantics at any scale.
 		blk := b.Param("alloc_block", float64(cfg.Block))
-		if blk != math.Trunc(blk) || blk < 0 {
+		if !isInt(blk) || blk < 0 {
 			return nil, fmt.Errorf("dcsim: param %q must be a non-negative integer (0 = exact evaluation), got %v", "alloc_block", blk)
 		}
 		cfg.Block = int(blk)
-		// alloc_parallel fans the per-admission candidate scoring and the
-		// streaming matrix's pair updates out over that many workers
-		// (0 or 1 = serial). Placements and statistics are byte-identical
-		// to serial execution.
-		par := b.Param("alloc_parallel", 0)
-		if par != math.Trunc(par) || par < 0 {
-			return nil, fmt.Errorf("dcsim: param %q must be a non-negative integer worker count, got %v", "alloc_parallel", par)
-		}
-		cfg.Parallel = int(par)
-		matrix := b.Matrix()
-		if cfg.Parallel > 1 {
-			if sp, ok := matrix.(interface{ SetParallel(int) }); ok {
-				sp.SetParallel(cfg.Parallel)
-			}
-		}
-		return &core.Allocator{Config: cfg, Matrix: matrix}, nil
+		return &core.Allocator{Config: cfg, Matrix: b.Matrix()}, nil
 	}
 	RegisterPolicy("corr-aware", corrAware)
 	RegisterPolicy("corr", corrAware)
@@ -191,7 +180,12 @@ func init() {
 		return predict.MovingAverage{K: k}, nil
 	})
 	RegisterPredictor("ewma", func(b *Build) (model.Predictor, error) {
-		return predict.EWMA{Alpha: b.Param("ewma_alpha", 0.5)}, nil
+		// Outside (0, 1] the predictor would substitute its default.
+		a := b.Param("ewma_alpha", 0.5)
+		if !(a > 0 && a <= 1) {
+			return nil, fmt.Errorf("dcsim: param %q must be in (0, 1], got %v", "ewma_alpha", a)
+		}
+		return predict.EWMA{Alpha: a}, nil
 	})
 	RegisterPredictor("max-of", func(b *Build) (model.Predictor, error) {
 		k, err := b.IntParam("maxof_k", 3)

@@ -2,7 +2,6 @@ package dcsim
 
 import (
 	"context"
-	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -79,34 +78,50 @@ func TestAllocBlockParam(t *testing.T) {
 	}
 }
 
-func TestAllocParallelParamByteIdentical(t *testing.T) {
-	// The parallel knob must be behavior-invariant: a run with
-	// alloc_parallel=4 must produce a result deeply equal to the serial
-	// run (the engine's equivalence tests pin per-placement bytes; this
-	// pins the knob's plumbing through the registry).
-	serial, err := Run(context.Background(), New(smallOpts()...))
-	if err != nil {
-		t.Fatal(err)
+// TestParamRejections pins the fail-loud params contract on values a
+// factory once replaced silently: each row must fail both CheckScenario
+// and Run, with an error naming the param.
+func TestParamRejections(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		opts  []Option
+		param string
+	}{
+		// The intra-run worker-count knob is gone; setting it is an
+		// unread param like any typo.
+		{"alloc_parallel=4", []Option{WithParam("alloc_parallel", 4)}, "alloc_parallel"},
+		// int() of an out-of-range float is a negative int, which the
+		// factories used to clamp to 1 or to exact evaluation.
+		{"ma_k=1e19", []Option{WithPredictor("moving-average"), WithParam("ma_k", 1e19)}, "ma_k"},
+		{"maxof_k=1e19", []Option{WithPredictor("max-of"), WithParam("maxof_k", 1e19)}, "maxof_k"},
+		{"alloc_block=1e19", []Option{WithParam("alloc_block", 1e19)}, "alloc_block"},
+		// Out-of-range smoothing and relaxation factors used to become
+		// the predictor's 0.5 and the allocator's 0.9.
+		{"ewma_alpha=2", []Option{WithPredictor("ewma"), WithParam("ewma_alpha", 2)}, "ewma_alpha"},
+		{"ewma_alpha=-1", []Option{WithPredictor("ewma"), WithParam("ewma_alpha", -1)}, "ewma_alpha"},
+		{"ewma_alpha=0", []Option{WithPredictor("ewma"), WithParam("ewma_alpha", 0)}, "ewma_alpha"},
+		{"alpha=5", []Option{WithParam("alpha", 5)}, "alpha"},
+		{"alpha=1", []Option{WithParam("alpha", 1)}, "alpha"},
+		{"alpha=0", []Option{WithParam("alpha", 0)}, "alpha"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sc := New(append(smallOpts(), tc.opts...)...)
+			if err := CheckScenario(sc); err == nil || !strings.Contains(err.Error(), tc.param) {
+				t.Fatalf("CheckScenario = %v, want a rejection naming %q", err, tc.param)
+			}
+			if _, err := Run(context.Background(), sc); err == nil || !strings.Contains(err.Error(), tc.param) {
+				t.Fatalf("Run err = %v, want a rejection naming %q", err, tc.param)
+			}
+		})
 	}
-	par, err := Run(context.Background(), New(append(smallOpts(), WithParam("alloc_parallel", 4))...))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sj, err := json.Marshal(serial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pj, err := json.Marshal(par)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(sj) != string(pj) {
-		t.Fatalf("alloc_parallel=4 changed the result:\nserial: %s\nparallel: %s", sj, pj)
-	}
-	for _, bad := range []float64{1.5, -2} {
-		sc := New(append(smallOpts(), WithParam("alloc_parallel", bad))...)
-		if _, err := Run(context.Background(), sc); err == nil || !strings.Contains(err.Error(), "alloc_parallel") {
-			t.Fatalf("alloc_parallel=%v: err = %v, want rejection", bad, err)
+	// The boundaries stay valid.
+	for _, opts := range [][]Option{
+		{WithPredictor("ewma"), WithParam("ewma_alpha", 1)},
+		{WithParam("alpha", 0.5)},
+		{WithPredictor("max-of"), WithParam("maxof_k", 1)},
+	} {
+		if err := CheckScenario(New(append(smallOpts(), opts...)...)); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

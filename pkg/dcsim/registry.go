@@ -38,15 +38,23 @@ func (b *Build) Param(name string, def float64) float64 {
 	return def
 }
 
-// IntParam is Param for count-valued knobs: it rejects non-integral and
-// non-positive values instead of silently truncating them, keeping the
-// fail-loud params contract.
+// IntParam is Param for count-valued knobs: it rejects non-integral,
+// out-of-range and non-positive values instead of silently truncating
+// them, keeping the fail-loud params contract.
 func (b *Build) IntParam(name string, def int) (int, error) {
 	v := b.Param(name, float64(def))
-	if v != math.Trunc(v) || v < 1 {
+	if !isInt(v) || v < 1 {
 		return 0, fmt.Errorf("dcsim: param %q must be a positive integer, got %v", name, v)
 	}
 	return int(v), nil
+}
+
+// isInt reports whether v converts to int exactly. Go's float-to-int
+// conversion of an out-of-range value is implementation-defined (on amd64
+// 1e19 becomes a negative int), so the range is checked explicitly:
+// [-2^63, 2^63) is the int64 range as float64 bounds.
+func isInt(v float64) bool {
+	return v == math.Trunc(v) && v >= math.MinInt64 && v < math.MaxInt64
 }
 
 // unusedParamErr reports the scenario params no factory consumed.

@@ -2,10 +2,8 @@
 # bench_alloc.sh — run BenchmarkAllocatorScale (the scaling trajectory:
 # exact Fig.-2 semantics up to 2k VMs, blocked evaluation at 1k/2k/10k) and
 # BenchmarkAllocPhases (per-phase attribution: matrix-update, fill-scoring,
-# placement-total, each serial vs parallel) and record both in
-# BENCH_alloc.json, including the 1k→10k blocked scaling ratio
-# (sub-quadratic means ratio < 100 for 10× VMs) and the 2k-VM parallel
-# speedup (≈1.0 on single-core runners; the recorded gomaxprocs says which).
+# placement-total) and record both in BENCH_alloc.json, including the
+# 1k→10k blocked scaling ratio (sub-quadratic means ratio < 100 for 10× VMs).
 #
 # Set ALLOC_CPUPROFILE=<path> to also capture a CPU profile of the 2k-VM
 # exact placement for offline inspection (CI uploads it as an artifact).
@@ -58,12 +56,6 @@ lo, hi = ns("block=512", 1000), ns("block=512", 10000)
 if lo and hi:
     doc["blocked_scaling_1k_to_10k"] = round(hi / lo, 2)
     doc["sub_quadratic_1k_to_10k"] = hi / lo < 100.0
-ser, par = ns("serial", 2000, "total"), ns("parallel", 2000, "total")
-if ser and par:
-    # Wall-clock ratio of the serial over the parallel 2k-VM placement
-    # (the total phase): > 1 means the fan-out wins. Meaningful only when
-    # gomaxprocs > 1 — on a single-core runner both series run serially.
-    doc["parallel_speedup_2k"] = round(ser / par, 2)
 with open("BENCH_alloc.json", "w") as f:
     json.dump(doc, f, indent=1)
     f.write("\n")
