@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -31,6 +32,30 @@ func applyWorkloadOptions(w *dcsim.Workload, pairs []string) error {
 			return fmt.Errorf("-wopt needs key=value, got %q", kv)
 		}
 		w.SetOption(key, value)
+	}
+	return nil
+}
+
+// applyRecording points the workload at a recording from -tracedir or
+// -objstore, the two mutually exclusive recording locations. Either one
+// sets the path and implies its kind ("trace-dir" or "trace-obj") unless
+// kindChosen (an explicit -workload) or the scenario already names a
+// non-default kind, so spelling out the default "datacenter" behaves like
+// omitting it.
+func applyRecording(w *dcsim.Workload, tracedir, objstore string, kindChosen bool) error {
+	if tracedir != "" && objstore != "" {
+		return errors.New("-tracedir and -objstore are mutually exclusive (one recording location)")
+	}
+	path, kind := tracedir, "trace-dir"
+	if objstore != "" {
+		path, kind = objstore, "trace-obj"
+	}
+	if path == "" {
+		return nil
+	}
+	w.Path = path
+	if def := dcsim.DefaultScenario().Workload.Kind; !kindChosen && (w.Kind == "" || w.Kind == def) {
+		w.Kind = kind
 	}
 	return nil
 }

@@ -17,10 +17,7 @@ func main() {
 		sc.Workload.VMs, sc.Workload.Hours, sc.Workload.Groups, sc.MaxServers)
 
 	run := func(policy, governor string) *dcsim.Result {
-		res, err := dcsim.Run(context.Background(), dcsim.New(
-			dcsim.WithPolicy(policy),
-			dcsim.WithGovernor(governor),
-		))
+		res, err := dcsim.Run(context.Background(), dcsim.Scenario{Policy: policy, Governor: governor})
 		if err != nil {
 			panic(fmt.Sprintf("%s: %v", policy, err))
 		}

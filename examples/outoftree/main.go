@@ -126,12 +126,12 @@ func main() {
 	// grid: policy × predictor, two seed replicas per cell.
 	grid := sweep.Grid{
 		Name: "outoftree-demo",
-		Base: dcsim.New(
-			dcsim.WithVMs(16),
-			dcsim.WithGroups(4),
-			dcsim.WithHours(6),
-			dcsim.WithMaxServers(8),
-		),
+		// Every policy runs under the Eqn-4 governor.
+		Base: dcsim.Scenario{
+			Workload:   dcsim.Workload{VMs: 16, Groups: 4, Hours: 6},
+			Governor:   "eqn4",
+			MaxServers: 8,
+		},
 		Axes: []sweep.Axis{
 			{Field: "policy", Values: []any{"bfd", "spread", "corr-aware"}},
 			{Field: "predictor", Values: []any{"last-value", "hedge"}},

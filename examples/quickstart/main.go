@@ -1,6 +1,6 @@
 // Quickstart: the smallest end-to-end use of the public pkg/dcsim API.
 //
-// Build a scenario with functional options over the Setup-2 defaults,
+// Describe a scenario as a sparse literal over the Setup-2 defaults,
 // stream per-period metrics through an Observer while it runs, and compare
 // the correlation-aware policy against best-fit-decreasing — both selected
 // from the registry by name.
@@ -21,14 +21,12 @@ func main() {
 	fmt.Println()
 
 	// A small scenario: 16 VMs in 4 correlated groups over 6 hours,
-	// consolidated hourly onto at most 8 servers.
-	sc := dcsim.New(
-		dcsim.WithVMs(16),
-		dcsim.WithGroups(4),
-		dcsim.WithHours(6),
-		dcsim.WithMaxServers(8),
-		dcsim.WithSeed(1),
-	)
+	// consolidated hourly onto at most 8 servers. Unset fields (policy,
+	// governor, server, ...) take their defaults.
+	sc := dcsim.Scenario{
+		Workload:   dcsim.Workload{VMs: 16, Groups: 4, Hours: 6, Seed: 1},
+		MaxServers: 8,
+	}
 
 	// Observers stream metrics while the run is in flight; a context
 	// would let us stop it early (see the README's cancellation example).
@@ -43,16 +41,11 @@ func main() {
 		panic(err)
 	}
 
-	// Same scenario, baseline policy/governor — two option overrides.
-	bfd, err := dcsim.Run(context.Background(), dcsim.New(
-		dcsim.WithVMs(16),
-		dcsim.WithGroups(4),
-		dcsim.WithHours(6),
-		dcsim.WithMaxServers(8),
-		dcsim.WithSeed(1),
-		dcsim.WithPolicy("bfd"),
-		dcsim.WithGovernor("worst-case"),
-	))
+	// Same scenario, baseline policy. The unset governor pairs with it:
+	// worst-case for a baseline, eqn4 for the correlation-aware policy.
+	baseline := sc
+	baseline.Policy = "bfd"
+	bfd, err := dcsim.Run(context.Background(), baseline)
 	if err != nil {
 		panic(err)
 	}

@@ -65,10 +65,8 @@ func main() {
 		{Field: "policy", Values: []any{"bfd", "pcp", "corr-aware"}},
 		{Field: "rescale_every", Values: []any{0, 12}},
 	}
-	base := dcsim.New(
-		dcsim.WithWorkload(workload),
-		dcsim.WithMaxServers(8),
-	)
+	// Every policy runs under the Eqn-4 governor.
+	base := dcsim.Scenario{Workload: workload, Governor: "eqn4", MaxServers: 8}
 	syntheticGrid := sweep.Grid{Name: "synthetic", Base: base, Axes: axes}
 	recordedBase := base
 	recordedBase.Workload.Kind = "trace-dir"

@@ -157,7 +157,8 @@ func refOf(xs []float64, pctl float64) float64 {
 		}
 		return max
 	}
-	// Exact percentile for the batch form.
+	// The P² estimator the streaming matrix runs, not an exact
+	// percentile, so CostOf matches CostMatrix bit for bit.
 	m := vmmodel.NewMonitor(pctl)
 	for _, v := range xs {
 		m.Add(v)

@@ -101,19 +101,24 @@ func TestCostMatrixMatchesBatch(t *testing.T) {
 			series[i][k] = rng.Float64() * 4
 		}
 	}
-	m := NewCostMatrix(n, 1)
-	sample := make([]float64, n)
-	for k := 0; k < samples; k++ {
-		for i := range series {
-			sample[i] = series[i][k]
+	// Peak mode and the P² percentiles: the streaming matrix and the batch
+	// oracle feed the same samples in the same order to the same
+	// estimators, so they agree bit for bit.
+	for _, pctl := range []float64{1, 0.5, 0.9, 0.95, 0.99} {
+		m := NewCostMatrix(n, pctl)
+		sample := make([]float64, n)
+		for k := 0; k < samples; k++ {
+			for i := range series {
+				sample[i] = series[i][k]
+			}
+			m.Add(sample)
 		}
-		m.Add(sample)
-	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			want := CostOf(series[i], series[j], 1)
-			if got := m.Cost(i, j); !approx(got, want, 1e-9) {
-				t.Fatalf("matrix cost(%d,%d) = %v, batch = %v", i, j, got, want)
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				want := CostOf(series[i], series[j], pctl)
+				if got := m.Cost(i, j); got != want {
+					t.Fatalf("pctl %v: matrix cost(%d,%d) = %v, batch = %v", pctl, i, j, got, want)
+				}
 			}
 		}
 	}

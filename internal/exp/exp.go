@@ -132,14 +132,14 @@ func runPolicyOracle(o Options, vms []*vmmodel.VM, kind string, rescaleEvery int
 	if kind == "corr" {
 		governor = "eqn4"
 	}
-	sc := dcsim.New(
-		dcsim.WithPolicy(kind),
-		dcsim.WithGovernor(governor),
-		dcsim.WithMaxServers(o.MaxServers),
-		dcsim.WithPeriodSamples(o.PeriodSamples),
-		dcsim.WithRescaleEvery(rescaleEvery),
-		dcsim.WithOracle(oracle),
-	)
+	sc := dcsim.Scenario{
+		Policy:        kind,
+		Governor:      governor,
+		MaxServers:    o.MaxServers,
+		PeriodSamples: o.PeriodSamples,
+		RescaleEvery:  rescaleEvery,
+		Oracle:        oracle,
+	}
 	return dcsim.RunVMs(context.Background(), vms, sc)
 }
 

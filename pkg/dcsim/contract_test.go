@@ -66,15 +66,13 @@ func TestOutOfTreeComponentsThroughFacade(t *testing.T) {
 		return meanOf{}, nil
 	})
 
-	sc := dcsim.New(
-		dcsim.WithVMs(8),
-		dcsim.WithGroups(2),
-		dcsim.WithHours(3),
-		dcsim.WithMaxServers(8),
-		dcsim.WithPolicy("one-per-server-test"),
-		dcsim.WithGovernor("worst-case"),
-		dcsim.WithPredictor("mean-of-history-test"),
-	)
+	sc := dcsim.Scenario{
+		Workload:   dcsim.Workload{VMs: 8, Groups: 2, Hours: 3},
+		MaxServers: 8,
+		Policy:     "one-per-server-test",
+		Governor:   "worst-case",
+		Predictor:  "mean-of-history-test",
+	}
 	res, err := dcsim.Run(context.Background(), sc)
 	if err != nil {
 		t.Fatal(err)
@@ -93,14 +91,12 @@ func TestExternalGovernorThroughFacade(t *testing.T) {
 	dcsim.RegisterGovernor("always-fmax-test", func(*dcsim.Build) (model.Governor, error) {
 		return fmaxGovernor{}, nil
 	})
-	sc := dcsim.New(
-		dcsim.WithVMs(8),
-		dcsim.WithGroups(2),
-		dcsim.WithHours(3),
-		dcsim.WithMaxServers(4),
-		dcsim.WithPolicy("bfd"),
-		dcsim.WithGovernor("always-fmax-test"),
-	)
+	sc := dcsim.Scenario{
+		Workload:   dcsim.Workload{VMs: 8, Groups: 2, Hours: 3},
+		MaxServers: 4,
+		Policy:     "bfd",
+		Governor:   "always-fmax-test",
+	}
 	res, err := dcsim.Run(context.Background(), sc)
 	if err != nil {
 		t.Fatal(err)
@@ -159,14 +155,12 @@ func TestOutOfTreeWorkloadSourceThroughFacade(t *testing.T) {
 		t.Fatal("WorkloadKinds() does not list the external registration")
 	}
 
-	sc := dcsim.New(
-		dcsim.WithWorkloadKind("flat-test"),
-		dcsim.WithVMs(6),
-		dcsim.WithGroups(1),
-		dcsim.WithHours(2),
-		dcsim.WithMaxServers(6),
-		dcsim.WithPolicy("bfd"),
-	)
+	sc := dcsim.Scenario{
+		Workload:   dcsim.Workload{Kind: "flat-test", VMs: 6, Groups: 1, Hours: 2},
+		MaxServers: 6,
+		Policy:     "bfd",
+		Governor:   "eqn4",
+	}
 	res, err := dcsim.Run(context.Background(), sc)
 	if err != nil {
 		t.Fatal(err)

@@ -1,11 +1,12 @@
 // Package dcsim is the public façade over the DATE'13 correlation-aware
 // consolidation reproduction. It is the one way to assemble and run
-// simulations: describe a run as a JSON-serializable Scenario (or build one
-// with New and functional options), select components by registry name, and
-// execute it with Run — optionally streaming per-sample metrics to
-// Observers and cancelling early through a context.
+// simulations: describe a run as a Scenario — a sparse Go literal or the
+// same fields as JSON, with every unset field taking its default — select
+// components by registry name, and execute it with Run, optionally
+// streaming per-sample metrics to Observers and cancelling early through a
+// context.
 //
-//	sc := dcsim.New(dcsim.WithPolicy("bfd"), dcsim.WithSeed(7))
+//	sc := dcsim.Scenario{Policy: "bfd", Workload: dcsim.Workload{Seed: 7}}
 //	res, err := dcsim.Run(context.Background(), sc)
 //
 // The internal packages (core, place, sim, exp, …) stay internal; cmd/

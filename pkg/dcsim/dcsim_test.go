@@ -11,22 +11,21 @@ import (
 	"repro/internal/place"
 )
 
-// smallOpts is a fast two-period scenario shared by the tests.
-func smallOpts() []Option {
-	return []Option{
-		WithVMs(8),
-		WithGroups(2),
-		WithHours(2),
-		WithMaxServers(6),
-		WithSeed(3),
-	}
+// small is a fast two-period scenario shared by the tests, normalized so
+// tests that swap the policy keep its eqn4 governor and can read its
+// effective fields.
+func small() Scenario {
+	return Scenario{
+		Workload:   Workload{VMs: 8, Groups: 2, Hours: 2, Seed: 3},
+		MaxServers: 6,
+	}.Normalized()
 }
 
 // TestGoldenDeterminism: the same Scenario and seed must yield
 // byte-identical results, including through a JSON round trip of the
 // scenario itself (the config-file path).
 func TestGoldenDeterminism(t *testing.T) {
-	sc := New(smallOpts()...)
+	sc := small()
 	first, err := Run(context.Background(), sc)
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +105,7 @@ func TestRegistryUnknownName(t *testing.T) {
 	if _, err := LookupServer("nope"); err == nil {
 		t.Error("unknown server did not error")
 	}
-	if _, err := Run(context.Background(), New(WithPolicy("nope"))); err == nil {
+	if _, err := Run(context.Background(), Scenario{Policy: "nope"}); err == nil {
 		t.Error("Run with unknown policy did not error")
 	}
 	if _, err := RunWebSearch(WebSearchScenario{Placement: "nope"}); err == nil {
@@ -125,8 +124,9 @@ func TestRegisterRejectsDuplicates(t *testing.T) {
 
 func TestRegisterCustomPolicy(t *testing.T) {
 	RegisterPolicy("ffd-custom-test", func(*Build) (Policy, error) { return place.FFD{}, nil })
-	res, err := Run(context.Background(), New(append(smallOpts(),
-		WithPolicy("ffd-custom-test"), WithGovernor("worst-case"))...))
+	sc := small()
+	sc.Policy, sc.Governor = "ffd-custom-test", "worst-case"
+	res, err := Run(context.Background(), sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestRegisterCustomPolicy(t *testing.T) {
 // TestObserverStreams: a full run must deliver one OnSample per simulated
 // sample and one OnPeriod per period, in order.
 func TestObserverStreams(t *testing.T) {
-	sc := New(smallOpts()...)
+	sc := small()
 	samples, periods := 0, 0
 	lastK := -1
 	obs := observerPair{
@@ -176,7 +176,7 @@ func TestObserverStreams(t *testing.T) {
 // TestObserverCancellation: cancelling the context mid-run stops the
 // simulation early and returns the partial result alongside the error.
 func TestObserverCancellation(t *testing.T) {
-	sc := New(smallOpts()...)
+	sc := small()
 	full, err := Run(context.Background(), sc)
 	if err != nil {
 		t.Fatal(err)
@@ -227,7 +227,7 @@ func TestParseScenarioRejectsUnknownFields(t *testing.T) {
 		t.Errorf("corr-aware scenario paired governor %q, want eqn4", corr.Governor)
 	}
 	// The seed default matters for reproducibility: a sparse config must
-	// generate the same traces as New().
+	// generate the same traces as DefaultScenario().
 	if sc.Workload.Seed != DefaultScenario().Workload.Seed {
 		t.Errorf("sparse scenario seed = %d, want the default %d",
 			sc.Workload.Seed, DefaultScenario().Workload.Seed)

@@ -24,7 +24,7 @@ type Workload struct {
 	Hours int `json:"hours"`
 	// Seed drives synthetic generators; equal seeds yield identical
 	// traces. Seed 0 selects the default seed 1 (the zero value must
-	// mean "unset" so sparse JSON configs behave like New()). Recorded
+	// mean "unset" so sparse scenarios get the default traces). Recorded
 	// kinds ignore it: a recorded trace is the same at every seed.
 	Seed int64 `json:"seed"`
 	// Path points file-backed kinds at their data (for "trace-dir", the

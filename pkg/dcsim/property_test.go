@@ -8,9 +8,12 @@ import (
 )
 
 // TestRunAccountingProperties checks that a run's accounting adds up, for
-// every policy × governor × reference percentile × static/dynamic v/f
-// combination on a small datacenter workload:
+// every registered placement policy ("corr" aliases "corr-aware") ×
+// governor × reference percentile × static/dynamic v/f combination on a
+// small datacenter workload:
 //
+//   - every placement passes sim.Run's per-period Validate, so the run
+//     completes without error;
 //   - the per-period energies sum to the run's EnergyJ;
 //   - FreqResidency counts exactly one sample per active server per
 //     sample, so its total equals the per-sample ActiveServers summed by
@@ -18,15 +21,20 @@ import (
 //   - no sample reports more active servers than the pool holds.
 func TestRunAccountingProperties(t *testing.T) {
 	const maxServers = 5
-	for _, policy := range []string{"corr-aware", "pcp", "ffd"} {
+	for _, policy := range []string{"corr-aware", "pcp", "ffd", "bfd", "jointvm"} {
 		for _, governor := range []string{"eqn4", "worst-case"} {
 			for _, pctl := range []float64{1, 0.95} {
 				for _, rescale := range []int{0, 12} {
 					name := fmt.Sprintf("%s/%s/pctl=%v/rescale=%d", policy, governor, pctl, rescale)
 					t.Run(name, func(t *testing.T) {
-						sc := New(WithVMs(12), WithGroups(3), WithHours(3), WithSeed(5),
-							WithMaxServers(maxServers), WithPolicy(policy), WithGovernor(governor),
-							WithPctl(pctl), WithRescaleEvery(rescale))
+						sc := Scenario{
+							Workload:     Workload{VMs: 12, Groups: 3, Hours: 3, Seed: 5},
+							MaxServers:   maxServers,
+							Policy:       policy,
+							Governor:     governor,
+							Pctl:         pctl,
+							RescaleEvery: rescale,
+						}
 						samples, activeSum, overCap := 0, 0, 0
 						res, err := Run(context.Background(), sc, ObserverFunc(func(s Sample) {
 							samples++

@@ -19,8 +19,8 @@ type Workload = model.Workload
 // Scenario is the JSON-serializable description of one simulation run: the
 // server model, workload source, policy/governor/predictor registry names,
 // and horizon parameters. Zero values are filled by defaults at Run time,
-// so a Scenario parsed from a sparse config file behaves like one built
-// with New and options.
+// so a sparse Go literal and a sparse config file describe the same run;
+// the JSON encoding is the one schema of a run's fields.
 type Scenario struct {
 	// Name labels the run in output; it does not affect simulation.
 	Name string `json:"name,omitempty"`
@@ -85,92 +85,9 @@ func DefaultScenario() Scenario {
 	}
 }
 
-// Option mutates a Scenario under construction.
-type Option func(*Scenario)
-
-// New builds a Scenario from DefaultScenario with the given options applied.
-func New(opts ...Option) Scenario {
-	sc := DefaultScenario()
-	for _, o := range opts {
-		o(&sc)
-	}
-	return sc
-}
-
-// WithName labels the scenario.
-func WithName(name string) Option { return func(s *Scenario) { s.Name = name } }
-
-// WithServer selects the server model by registry name.
-func WithServer(name string) Option { return func(s *Scenario) { s.Server = name } }
-
-// WithPolicy selects the placement policy by registry name.
-func WithPolicy(name string) Option { return func(s *Scenario) { s.Policy = name } }
-
-// WithGovernor selects the frequency governor by registry name.
-func WithGovernor(name string) Option { return func(s *Scenario) { s.Governor = name } }
-
-// WithPredictor selects the workload predictor by registry name.
-func WithPredictor(name string) Option { return func(s *Scenario) { s.Predictor = name } }
-
-// WithWorkload replaces the whole workload description.
-func WithWorkload(w Workload) Option { return func(s *Scenario) { s.Workload = w } }
-
-// WithWorkloadKind selects the workload backend by registry kind.
-func WithWorkloadKind(kind string) Option { return func(s *Scenario) { s.Workload.Kind = kind } }
-
-// WithTracePath points a file-backed workload kind (e.g. "trace-dir") at
-// its data directory.
-func WithTracePath(path string) Option { return func(s *Scenario) { s.Workload.Path = path } }
-
-// WithWorkloadOption sets one kind-scoped workload backend option (e.g.
-// "cache_dir" for "trace-obj"), copy-on-write like WithParam. A key the
-// selected backend does not read fails validation — the same unread-key
-// contract scenario params follow.
-func WithWorkloadOption(key, value string) Option {
-	return func(s *Scenario) { s.Workload.SetOption(key, value) }
-}
-
-// WithVMs sets the workload's VM count.
-func WithVMs(n int) Option { return func(s *Scenario) { s.Workload.VMs = n } }
-
-// WithGroups sets the workload's correlated-group count.
-func WithGroups(n int) Option { return func(s *Scenario) { s.Workload.Groups = n } }
-
-// WithHours sets the workload horizon in hours.
-func WithHours(h int) Option { return func(s *Scenario) { s.Workload.Hours = h } }
-
-// WithSeed sets the workload generator seed.
-func WithSeed(seed int64) Option { return func(s *Scenario) { s.Workload.Seed = seed } }
-
-// WithMaxServers sets the server pool size.
-func WithMaxServers(n int) Option { return func(s *Scenario) { s.MaxServers = n } }
-
-// WithPeriodSamples sets tperiod in samples.
-func WithPeriodSamples(n int) Option { return func(s *Scenario) { s.PeriodSamples = n } }
-
-// WithRescaleEvery enables dynamic v/f scaling every n samples (0 = static).
-func WithRescaleEvery(n int) Option { return func(s *Scenario) { s.RescaleEvery = n } }
-
-// WithPctl sets the reference percentile for û.
-func WithPctl(p float64) Option { return func(s *Scenario) { s.Pctl = p } }
-
-// WithOffPctl sets PCP's off-peak percentile.
-func WithOffPctl(p float64) Option { return func(s *Scenario) { s.OffPctl = p } }
-
-// WithCumulativeMatrix keeps correlation statistics across periods.
-func WithCumulativeMatrix(on bool) Option { return func(s *Scenario) { s.CumulativeMatrix = on } }
-
-// WithOracle enables perfect next-period prediction.
-func WithOracle(on bool) Option { return func(s *Scenario) { s.Oracle = on } }
-
-// WithParam sets one scenario-level component parameter. The params map is
+// SetParam sets one scenario-level component parameter. The params map is
 // copied on first write, so scenarios derived from a shared base (as sweep
 // grids do) never alias each other's parameters.
-func WithParam(name string, value float64) Option {
-	return func(s *Scenario) { s.SetParam(name, value) }
-}
-
-// SetParam sets one component parameter, copy-on-write (see WithParam).
 func (s *Scenario) SetParam(name string, value float64) {
 	params := make(map[string]float64, len(s.Params)+1)
 	for k, v := range s.Params {

@@ -32,7 +32,7 @@ func recordSmallDir(t *testing.T) string {
 // single-run level: Run over the streamed workload and RunVMs over the
 // materialized Dataset of the same workload produce byte-identical results.
 func TestRunMaterializeByteIdentical(t *testing.T) {
-	sc := New(smallOpts()...)
+	sc := small()
 	streamed, err := Run(context.Background(), sc)
 	if err != nil {
 		t.Fatal(err)
@@ -81,7 +81,7 @@ func TestOpenTracesCancelBetweenRecords(t *testing.T) {
 func TestRunCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Run(ctx, New(smallOpts()...)); !errors.Is(err, context.Canceled) {
+	if _, err := Run(ctx, small()); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Run with cancelled ctx = %v, want context.Canceled", err)
 	}
 }
@@ -122,7 +122,7 @@ func TestTruncatedManifestRejectedBeforePlacement(t *testing.T) {
 			return err
 		}(),
 		"Run": func() error {
-			sc := New(smallOpts()...)
+			sc := small()
 			sc.Workload = w
 			_, err := Run(context.Background(), sc)
 			return err

@@ -26,10 +26,13 @@ import (
 	"repro/pkg/dcsim"
 )
 
-// Axis is one grid dimension: a scenario field name and the values it
-// sweeps over. Fields take JSON-scalar values; which Go type a value must
-// carry depends on the field (see Apply). Param axes are spelled
-// "param:<name>" and sweep the scenario's Params map.
+// Axis is one grid dimension: a scenario field and the JSON-scalar values
+// it sweeps over. The field is the scenario's JSON key ("policy",
+// "rescale_every", ...), "workload.<key>" or one of the workload shorthands
+// "kind", "path", "vms", "groups", "hours" and "seed"; each value must be
+// one a scenario file could hold there (see Apply). Param axes are spelled
+// "param:<name>" and sweep the scenario's Params map, option axes
+// "workload.opt:<key>" and sweep the workload's Options map.
 type Axis struct {
 	Field  string `json:"field"`
 	Values []any  `json:"values"`
@@ -259,16 +262,20 @@ func (g Grid) Runs() (int, error) {
 	return len(cells) * g.Replicas, nil
 }
 
-// Apply sets one scenario field by its grid-axis name. String fields take
-// strings, numeric fields JSON numbers (integral where the field is a
-// count), boolean fields bools; "param:<name>" writes the params map and
-// "workload.opt:<key>" the workload's kind-scoped options map, both
-// copy-on-write so cells sharing a base never alias.
+// Apply sets one scenario field by its grid-axis name: the field's key in
+// the scenario's JSON encoding ("policy", "max_servers", "pctl", ...), or
+// "workload.<key>" and the bare workload shorthands "kind", "path", "vms",
+// "groups", "hours" and "seed" for the workload's keys. The value decodes
+// through the scenario's own JSON decoder, so an axis value is accepted
+// exactly when a scenario file could hold it. "param:<name>" writes the
+// params map and "workload.opt:<key>" the workload's kind-scoped options
+// map, both copy-on-write so cells sharing a base never alias.
 func Apply(sc *dcsim.Scenario, field string, v any) error {
+	v = normalizeValue(v)
 	if name, ok := strings.CutPrefix(field, "param:"); ok {
-		f, err := wantFloat(field, v)
-		if err != nil {
-			return err
+		f, ok := v.(float64)
+		if !ok {
+			return fmt.Errorf("sweep: axis %q wants a number, got %v (%T)", field, v, v)
 		}
 		if name == "" {
 			return fmt.Errorf("sweep: empty param name in axis %q", field)
@@ -277,9 +284,9 @@ func Apply(sc *dcsim.Scenario, field string, v any) error {
 		return nil
 	}
 	if key, ok := strings.CutPrefix(field, "workload.opt:"); ok {
-		s, err := wantString(field, v)
-		if err != nil {
-			return err
+		s, ok := v.(string)
+		if !ok {
+			return fmt.Errorf("sweep: axis %q wants a string, got %v (%T)", field, v, v)
 		}
 		if key == "" {
 			return fmt.Errorf("sweep: empty workload option key in axis %q", field)
@@ -287,158 +294,42 @@ func Apply(sc *dcsim.Scenario, field string, v any) error {
 		sc.Workload.SetOption(key, s)
 		return nil
 	}
-	switch field {
-	case "name":
-		s, err := wantString(field, v)
-		if err != nil {
-			return err
-		}
-		sc.Name = s
-	case "policy":
-		s, err := wantString(field, v)
-		if err != nil {
-			return err
-		}
-		sc.Policy = s
-	case "governor":
-		s, err := wantString(field, v)
-		if err != nil {
-			return err
-		}
-		sc.Governor = s
-	case "predictor":
-		s, err := wantString(field, v)
-		if err != nil {
-			return err
-		}
-		sc.Predictor = s
-	case "server":
-		s, err := wantString(field, v)
-		if err != nil {
-			return err
-		}
-		sc.Server = s
-	case "workload.kind", "kind":
-		s, err := wantString(field, v)
-		if err != nil {
-			return err
-		}
-		sc.Workload.Kind = s
-	case "workload.path", "path":
-		s, err := wantString(field, v)
-		if err != nil {
-			return err
-		}
-		sc.Workload.Path = s
-	case "vms":
-		n, err := wantInt(field, v)
-		if err != nil {
-			return err
-		}
-		sc.Workload.VMs = n
-	case "groups":
-		n, err := wantInt(field, v)
-		if err != nil {
-			return err
-		}
-		sc.Workload.Groups = n
-	case "hours":
-		n, err := wantInt(field, v)
-		if err != nil {
-			return err
-		}
-		sc.Workload.Hours = n
-	case "seed":
-		n, err := wantInt(field, v)
-		if err != nil {
-			return err
-		}
-		sc.Workload.Seed = int64(n)
-	case "max_servers":
-		n, err := wantInt(field, v)
-		if err != nil {
-			return err
-		}
-		sc.MaxServers = n
-	case "period_samples":
-		n, err := wantInt(field, v)
-		if err != nil {
-			return err
-		}
-		sc.PeriodSamples = n
-	case "rescale_every":
-		n, err := wantInt(field, v)
-		if err != nil {
-			return err
-		}
-		sc.RescaleEvery = n
-	case "pctl":
-		f, err := wantFloat(field, v)
-		if err != nil {
-			return err
-		}
-		sc.Pctl = f
-	case "off_pctl":
-		f, err := wantFloat(field, v)
-		if err != nil {
-			return err
-		}
-		sc.OffPctl = f
-	case "cumulative_matrix":
-		b, err := wantBool(field, v)
-		if err != nil {
-			return err
-		}
-		sc.CumulativeMatrix = b
-	case "oracle":
-		b, err := wantBool(field, v)
-		if err != nil {
-			return err
-		}
-		sc.Oracle = b
+	switch v.(type) {
+	case string, float64, bool:
 	default:
-		return fmt.Errorf("sweep: unknown axis field %q (scenario fields, param:<name>, or workload.opt:<key>)", field)
+		// Only scalars: decoding an object would write into the maps a
+		// cell shares with its base.
+		return fmt.Errorf("sweep: axis %q wants a string, number or bool, got %v (%T)", field, v, v)
+	}
+	raw, err := json.Marshal(v)
+	if err != nil {
+		return fmt.Errorf("sweep: axis %q: %w", field, err)
+	}
+	if f, ok := v.(float64); ok && f == math.Trunc(f) && math.Abs(f) < 1e21 {
+		// json.Marshal writes the shortest digits that round-trip as a
+		// float64; above 2^53 those are not the integer itself (2^60
+		// would decode into an int field as ...847000, not ...846976).
+		raw = strconv.AppendFloat(raw[:0], f, 'f', 0, 64)
+	}
+	key, inWorkload := strings.CutPrefix(field, "workload.")
+	switch field {
+	case "kind", "path", "vms", "groups", "hours", "seed":
+		key, inWorkload = field, true
+	}
+	doc := map[string]any{field: json.RawMessage(raw)}
+	if inWorkload {
+		doc = map[string]any{"workload": map[string]any{key: json.RawMessage(raw)}}
+	}
+	data, err := json.Marshal(doc)
+	if err != nil {
+		return fmt.Errorf("sweep: axis %q: %w", field, err)
+	}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(sc); err != nil {
+		return fmt.Errorf("sweep: axis %q: %w", field, err)
 	}
 	return nil
-}
-
-func wantString(field string, v any) (string, error) {
-	s, ok := v.(string)
-	if !ok {
-		return "", fmt.Errorf("sweep: axis %q wants a string, got %v (%T)", field, v, v)
-	}
-	return s, nil
-}
-
-func wantFloat(field string, v any) (float64, error) {
-	switch x := v.(type) {
-	case float64:
-		return x, nil
-	case int:
-		return float64(x), nil
-	case int64:
-		return float64(x), nil
-	}
-	return 0, fmt.Errorf("sweep: axis %q wants a number, got %v (%T)", field, v, v)
-}
-
-func wantInt(field string, v any) (int, error) {
-	f, err := wantFloat(field, v)
-	if err != nil {
-		return 0, err
-	}
-	if f != math.Trunc(f) {
-		return 0, fmt.Errorf("sweep: axis %q wants an integer, got %v", field, f)
-	}
-	return int(f), nil
-}
-
-func wantBool(field string, v any) (bool, error) {
-	b, ok := v.(bool)
-	if !ok {
-		return false, fmt.Errorf("sweep: axis %q wants a bool, got %v (%T)", field, v, v)
-	}
-	return b, nil
 }
 
 // normalizeValue folds Go integer literals (from programmatically built

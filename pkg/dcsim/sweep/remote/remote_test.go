@@ -36,6 +36,12 @@ func tinyGrid() sweep.Grid {
 	}
 }
 
+// tinyScenario is a normalized 6-VM single-hour scenario for cells built
+// by hand.
+func tinyScenario() dcsim.Scenario {
+	return dcsim.Scenario{Workload: dcsim.Workload{VMs: 6, Hours: 1}, MaxServers: 5}.Normalized()
+}
+
 // localGolden runs the grid in-process on one worker and returns the
 // marshaled aggregate — the bytes every other execution mode must match.
 func localGolden(t *testing.T, g sweep.Grid) []byte {
@@ -374,7 +380,7 @@ func TestUnknownComponentTypedError(t *testing.T) {
 	// Build the cell by hand: client-side validation would reject the
 	// name too, which is exactly why the worker must also check — an
 	// out-of-tree client registers names its workers may not have.
-	sc := dcsim.New(dcsim.WithVMs(6), dcsim.WithHours(1), dcsim.WithMaxServers(5))
+	sc := tinyScenario()
 	sc.Policy = "martian-packing"
 	run := sweep.CellRun{Cell: sweep.Cell{Index: 0, Scenario: sc}, SeedStride: 1}
 	_, err = exec.ExecuteCell(context.Background(), run)
@@ -389,8 +395,7 @@ func TestUnknownComponentTypedError(t *testing.T) {
 		t.Fatalf("deterministic failure was retried %d times", runCalls.Load())
 	}
 	// The worker was not marked dead: a well-formed cell still runs.
-	good := sweep.CellRun{Cell: sweep.Cell{Index: 0, Scenario: dcsim.New(
-		dcsim.WithVMs(6), dcsim.WithHours(1), dcsim.WithMaxServers(5))}, SeedStride: 1}
+	good := sweep.CellRun{Cell: sweep.Cell{Index: 0, Scenario: tinyScenario()}, SeedStride: 1}
 	if _, err := exec.ExecuteCell(context.Background(), good); err != nil {
 		t.Fatalf("healthy cell after typed error: %v", err)
 	}
@@ -620,7 +625,7 @@ func TestUnknownWorkloadKindTypedError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := dcsim.New(dcsim.WithVMs(6), dcsim.WithHours(1), dcsim.WithMaxServers(5))
+	sc := tinyScenario()
 	sc.Workload.Kind = "object-store"
 	run := sweep.CellRun{Cell: sweep.Cell{Index: 0, Scenario: sc}, SeedStride: 1}
 	_, err = exec.ExecuteCell(context.Background(), run)

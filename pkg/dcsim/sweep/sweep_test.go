@@ -70,7 +70,7 @@ func TestCellsCanonicalOrder(t *testing.T) {
 
 func TestParamAxisCopyOnWrite(t *testing.T) {
 	g := Grid{
-		Base: dcsim.New(dcsim.WithPolicy("corr-aware")),
+		Base: dcsim.Scenario{Policy: "corr-aware"},
 		Axes: []Axis{{Field: "param:thcost", Values: []any{1.0, 1.4}}},
 	}
 	cells, err := g.Cells()
@@ -107,12 +107,16 @@ func TestApplyRejects(t *testing.T) {
 		v     any
 		want  string
 	}{
-		{"nope", "x", "unknown axis field"},
-		{"policy", 3.0, "wants a string"},
-		{"vms", "many", "wants a number"},
-		{"vms", 2.5, "wants an integer"},
-		{"oracle", 1.0, "wants a bool"},
+		{"nope", "x", `unknown field "nope"`},
+		{"policy", 3.0, "of type string"},
+		{"vms", "many", "cannot unmarshal string"},
+		{"vms", 2.5, "number 2.5"},
+		{"oracle", 1.0, "of type bool"},
 		{"param:", 1.0, "empty param name"},
+		// Out-of-range integers fail like they would in a scenario file,
+		// instead of wrapping to a negative seed or VM count.
+		{"seed", 1e19, "of type int64"},
+		{"vms", 1e19, "of type int"},
 	}
 	for _, c := range cases {
 		err := Apply(&sc, c.field, c.v)
@@ -122,11 +126,26 @@ func TestApplyRejects(t *testing.T) {
 	}
 }
 
+// TestApplyExactIntegers: an integral axis value lands in an int field as
+// exactly that integer, also above 2^53 where the shortest float64
+// rendering is a different integer.
+func TestApplyExactIntegers(t *testing.T) {
+	for _, want := range []int64{1 << 60, -(1 << 62), 1<<53 + 2, -7} {
+		sc := tinyBase()
+		if err := Apply(&sc, "seed", float64(want)); err != nil {
+			t.Fatal(err)
+		}
+		if sc.Workload.Seed != want {
+			t.Errorf("seed axis %v applied as %d", float64(want), sc.Workload.Seed)
+		}
+	}
+}
+
 func TestValidateCatchesBadCells(t *testing.T) {
 	// A param the selected components never read fails grid validation
 	// before any simulation runs.
 	g := Grid{
-		Base: dcsim.New(dcsim.WithPolicy("bfd")),
+		Base: dcsim.Scenario{Policy: "bfd", Governor: "eqn4"},
 		Axes: []Axis{{Field: "param:thcost", Values: []any{1.0}}},
 	}
 	err := g.Validate()
@@ -422,7 +441,7 @@ func TestSeedAliasingRegression(t *testing.T) {
 // a derivation that collides — e.g. a hand-built stride of 0, which the
 // grid defaults normally rule out.
 func TestReplicaSeedErrGuards(t *testing.T) {
-	c := Cell{Scenario: dcsim.New(dcsim.WithSeed(5))}
+	c := Cell{Scenario: dcsim.Scenario{Workload: dcsim.Workload{Seed: 5}}}
 	if err := replicaSeedErr(c, 3, 0); err == nil || !strings.Contains(err.Error(), "identical traces") {
 		t.Errorf("stride-0 collision err = %v, want a collision error", err)
 	}

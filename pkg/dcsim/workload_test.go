@@ -68,7 +68,7 @@ func TestUnknownWorkloadKindIsTyped(t *testing.T) {
 	if !errors.As(err, &nr) || nr.Kind != "workload kind" {
 		t.Fatalf("err = %#v, want *model.NotRegisteredError for a workload kind", err)
 	}
-	sc := New(WithWorkloadKind("s3"))
+	sc := Scenario{Workload: Workload{Kind: "s3"}}
 	if err := CheckScenario(sc); !errors.As(err, &nr) {
 		t.Fatalf("CheckScenario err = %v, want a typed registry miss", err)
 	}
@@ -91,7 +91,7 @@ func TestRegisterWorkloadRejectsDuplicates(t *testing.T) {
 // byte-identical Result at the same seed.
 func TestTraceDirRoundTripRun(t *testing.T) {
 	dir := t.TempDir()
-	synthetic := New(smallOpts()...)
+	synthetic := small()
 	ds, err := GenerateTraces(synthetic.Workload)
 	if err != nil {
 		t.Fatal(err)
@@ -100,7 +100,8 @@ func TestTraceDirRoundTripRun(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	recorded := New(append(smallOpts(), WithWorkloadKind("trace-dir"), WithTracePath(dir))...)
+	recorded := small()
+	recorded.Workload.Kind, recorded.Workload.Path = "trace-dir", dir
 	if err := CheckScenario(recorded); err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +140,7 @@ func TestTraceDirValidatedAgainstScenario(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Wrong VM count: the default scenario wants 40 VMs.
-	sc := New(WithWorkloadKind("trace-dir"), WithTracePath(dir))
+	sc := Scenario{Workload: Workload{Kind: "trace-dir", Path: dir}}
 	if err := CheckScenario(sc); err == nil || !strings.Contains(err.Error(), "records 6 VMs") {
 		t.Errorf("CheckScenario = %v, want a VM-count mismatch", err)
 	}
@@ -147,8 +148,10 @@ func TestTraceDirValidatedAgainstScenario(t *testing.T) {
 		t.Error("Run accepted a scenario whose workload mismatches the recording")
 	}
 	// Matching shape passes.
-	sc = New(WithVMs(6), WithGroups(2), WithHours(2), WithMaxServers(6),
-		WithWorkloadKind("trace-dir"), WithTracePath(dir))
+	sc = Scenario{
+		Workload:   Workload{Kind: "trace-dir", Path: dir, VMs: 6, Groups: 2, Hours: 2},
+		MaxServers: 6,
+	}
 	if err := CheckScenario(sc); err != nil {
 		t.Errorf("matching scenario rejected: %v", err)
 	}
@@ -226,7 +229,8 @@ func TestWorkloadOptionsContract(t *testing.T) {
 		}
 	})
 	t.Run("copy on write", func(t *testing.T) {
-		base := New(WithWorkloadOption("cache_mb", "64"))
+		var base Scenario
+		base.Workload.SetOption("cache_mb", "64")
 		derived := base
 		derived.Workload.SetOption("cache_mb", "128")
 		if got := base.Workload.Option("cache_mb"); got != "64" {
@@ -247,15 +251,15 @@ func TestWorkloadOptionsContract(t *testing.T) {
 		}
 	})
 	t.Run("empty key fails validation", func(t *testing.T) {
-		sc := New()
+		sc := DefaultScenario()
 		sc.Workload.Options = map[string]string{"": "x"}
 		if err := sc.Validate(); err == nil || !strings.Contains(err.Error(), "empty workload option key") {
 			t.Errorf("Validate err = %v, want empty-key rejection", err)
 		}
 	})
 	t.Run("options survive the JSON round trip", func(t *testing.T) {
-		sc := New(WithWorkloadKind("trace-obj"), WithTracePath("http://store.example/run"),
-			WithWorkloadOption("cache_mb", "64"))
+		sc := Scenario{Workload: Workload{Kind: "trace-obj", Path: "http://store.example/run"}}
+		sc.Workload.SetOption("cache_mb", "64")
 		data, err := json.Marshal(sc)
 		if err != nil {
 			t.Fatal(err)
